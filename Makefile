@@ -29,12 +29,14 @@ race:
 	$(GO) test -race -timeout 45m ./...
 
 # Fast feedback for the packages where worker concurrency actually
-# lives: the pooled-context runner, the engine it rewinds, and the
-# metrics layer (streaming recorder + windowed rollover) those share.
+# lives: the pooled-context runner, the engine it rewinds, the metrics
+# layer (streaming recorder + windowed rollover) those share, and the
+# µarch model and attack harness, whose lazy fills share the
+# process-wide jump memo.
 # -short keeps the pooled-vs-fresh sweep to the cheap experiments
 # (which include openloop, the windowed-determinism canary).
 race-fast:
-	$(GO) test -race -short -timeout 10m ./internal/exp ./internal/sim ./internal/trace ./internal/vmm
+	$(GO) test -race -short -timeout 10m ./internal/exp ./internal/sim ./internal/trace ./internal/vmm ./internal/uarch ./internal/attack
 
 # A quick end-to-end run through the registry and the parallel runner.
 smoke:

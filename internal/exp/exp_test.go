@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"coregap/internal/guest"
 	"coregap/internal/sim"
 )
 
@@ -222,6 +223,32 @@ func TestFig8Shapes(t *testing.T) {
 	ts, _ := r.Throughput.Series("SR-IOV shared-core").YAt(1 << 20)
 	if tg < ts*0.93 {
 		t.Errorf("SR-IOV gapped throughput %.2f well below shared %.2f at 1MiB", tg, ts)
+	}
+}
+
+// TestFig8FullVirtio4MiB: the full profile's largest virtio-net message
+// used to miss its last round, whose echo was still on the wire when the
+// trial stopped draining it.
+func TestFig8FullVirtio4MiB(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulation")
+	}
+	ran := 0
+	for _, spec := range expFig8.Specs(Profile{Seed: 42, Full: true}) {
+		if spec.Workload.Dev != guest.VirtioNet || spec.Workload.Bytes != 4<<20 {
+			continue
+		}
+		ran++
+		tr, err := ExecuteIn(NewTrialContext(), spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.ID, err)
+		}
+		if tr.Values["rtt.ns"] <= 0 {
+			t.Fatalf("%s: no round-trip time", spec.ID)
+		}
+	}
+	if ran != 2 {
+		t.Fatalf("ran %d virtio 4 MiB specs, want 2 (shared and gapped)", ran)
 	}
 }
 

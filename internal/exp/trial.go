@@ -300,8 +300,14 @@ func (t *Trial) runNetPIPE(ctx *TrialContext, spec ScenarioSpec) error {
 	n.Eng.After(5*sim.Millisecond, "start-netpipe", pp.Start)
 	n.RunUntilAllHalted(horizonOr(spec, 120*sim.Second))
 	// The guest halts after transmitting its final echo; drain the wire
-	// so the client sees it.
-	n.Eng.RunFor(5 * sim.Millisecond)
+	// so the client sees it. Large messages can take longer than one
+	// step to cross it, so keep draining, for at most a second, while
+	// rounds are outstanding.
+	const drainStep = 5 * sim.Millisecond
+	n.Eng.RunFor(drainStep)
+	for drained := drainStep; pp.Done() < w.Rounds && drained < sim.Second; drained += drainStep {
+		n.Eng.RunFor(drainStep)
+	}
 	if pp.Done() < w.Rounds {
 		return fmt.Errorf("netpipe: only %d/%d rounds (%v %dB)", pp.Done(), w.Rounds, w.Dev, w.Bytes)
 	}

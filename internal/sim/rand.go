@@ -6,6 +6,9 @@ package sim
 // runs must produce identical event traces forever.
 type Source struct {
 	s [4]uint64
+	// lag is the number of draws Skip has deferred: the stream's true
+	// state is s advanced lag draws. Every observer resolves it first.
+	lag uint64
 }
 
 // NewSource returns a source seeded from seed via splitmix64.
@@ -18,6 +21,7 @@ func NewSource(seed uint64) *Source {
 // reseed rewinds the source to the state NewSource(seed) would produce,
 // in place, so pooled holders of the pointer see the fresh stream.
 func (s *Source) reseed(seed uint64) {
+	s.lag = 0
 	x := seed
 	for i := range s.s {
 		x = splitmix64(&x)
@@ -41,6 +45,9 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next value in the stream.
 func (s *Source) Uint64() uint64 {
+	if s.lag != 0 {
+		s.resolve()
+	}
 	result := rotl(s.s[1]*5, 7) * 9
 	t := s.s[1] << 17
 	s.s[2] ^= s.s[0]

@@ -95,42 +95,53 @@ func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *si
 	// would have left, and materialization replays exactly the values
 	// they would have written. Touch is the simulator's single hottest
 	// loop (every execution slice on every core lands here, with n up
-	// to the 16K-entry L2); deferring the per-entry draws behind
-	// Source.Skip's jump matrices is what removed it from the profile.
-	st := tagSrc.State()
-	drawsPer := uint32(1)
+	// to the 16K-entry L2). Each run records the stream's unresolved
+	// anchor and its lag plus the draws of the runs before it, and the
+	// batch's Skip only adds to the lag, so Touch pays for no draws and
+	// no jump: the jump is resolved only if something observes the
+	// stream or materializes a run.
+	anchor, lag := tagSrc.Mark()
+	drawsPer := uint64(1)
 	frac := -1.0
 	if secretFrac > 0 {
 		drawsPer = 2
 		frac = secretFrac
 	}
-	var skip uint32
+	var skip uint64
 	for k := StructKind(0); k < sharedKindsStart; k++ {
 		b := cs.bufs[k]
 		n := int(footprint * float64(b.cap))
 		if n == 0 {
 			n = 1
 		}
-		b.pushFill(d, n, frac, st, skip)
-		skip += drawsPer * uint32(n)
+		b.pushFill(d, n, frac, anchor, lag+skip)
+		skip += drawsPer * uint64(n)
 	}
-	tagSrc.Skip(uint64(skip))
+	tagSrc.Skip(skip)
 }
 
 // Warmth reports the fraction of per-core cache/TLB/predictor capacity
 // currently holding d's entries, weighted toward the structures that
 // dominate restart cost (L1, L2, TLBs). 1.0 means fully warm.
+//
+// The weights are summed in kind order, so repeated calls agree to the
+// bit, and the table is static, so a call allocates nothing.
 func (cs *CoreState) Warmth(d DomainID) float64 {
-	weights := map[StructKind]float64{
-		L1D: 0.25, L1I: 0.10, L2: 0.35, DTLB: 0.10, ITLB: 0.05,
-		BTB: 0.10, UopCache: 0.05,
-	}
 	var w, total float64
-	for k, wt := range weights {
-		w += wt * cs.bufs[k].Occupancy(d)
-		total += wt
+	for _, kw := range warmthWeights {
+		w += kw.weight * cs.bufs[kw.kind].Occupancy(d)
+		total += kw.weight
 	}
 	return w / total
+}
+
+// warmthWeights are Warmth's per-structure weights, in kind order.
+var warmthWeights = [...]struct {
+	kind   StructKind
+	weight float64
+}{
+	{L1D, 0.25}, {L1I, 0.10}, {L2, 0.35}, {DTLB, 0.10}, {ITLB, 0.05},
+	{BTB, 0.10}, {UopCache, 0.05},
 }
 
 // FlushAll architecturally flushes every per-core structure and returns

@@ -133,42 +133,52 @@ type Entry struct {
 // replacement. FIFO (rather than LRU) keeps the model simple; replacement
 // policy does not affect any security verdict, only warmth decay shape.
 //
-// Bulk fills from Touch are LAZY: they are recorded as fillRuns (domain,
-// count, tag-stream start state) while the stream itself is advanced
-// with Source.Skip, and the per-entry draws only happen if an
-// entry-level reader — Residue, Insert, FlushDomain — ever looks
-// (materialize replays the recorded runs and reconstructs entries
-// byte-identically to the eager fill). Aggregate readers — Len,
-// CountDomain, Occupancy, and through them Warmth — are answered from
-// ring-interval arithmetic over the runs without materializing, which
-// is what removes the fill loops from the simulator's hottest path.
+// Bulk fills from Touch are LAZY: each is recorded as a fillRun holding
+// the domain, the count, and where its tags start in the shared tag
+// stream — an anchor state from Source.Mark plus the number of draws
+// past it. Touch only defers those draws with Source.Skip, so neither
+// the per-entry draws nor the jump over them happen at fill time. The
+// entries are built only if an entry-level reader — Residue, Insert,
+// FlushDomain — ever looks: materialize replays each run from its
+// anchor and reconstructs entries byte-identically to the eager fill.
+// Aggregate readers — Len, CountDomain, Occupancy, and through them
+// Warmth — are answered from ring-interval arithmetic over the runs
+// without materializing, which is what removes the fill loops from the
+// simulator's hottest path.
 type Buffer struct {
 	kind    StructKind
 	cap     int
 	entries []Entry // materialized prefix; ring position == index
 	next    int     // FIFO replacement cursor of the materialized prefix
 
-	// Deferred fills, oldest first. While pend > 0 the buffer's true
-	// state is (entries, next) with every run replayed on top; vlen and
-	// vnext track the Len/next that replay would produce.
+	// Deferred fills, oldest first, are runs[head:]; runs[:head] are
+	// dead (fully overwritten) and are compacted away by pushFill.
+	// While pend > 0 the buffer's true state is (entries, next) with
+	// every live run replayed on top; vlen and vnext track the Len/next
+	// that replay would produce.
 	runs  []fillRun
-	pend  int // total entries across runs
+	head  int
+	pend  int // total entries across live runs
 	vlen  int
 	vnext int
 }
 
 // fillRun is one deferred bulk fill: n entries by domain, whose tags
-// replay from src after skipping skip draws (the draws consumed by
-// earlier runs recorded in the same Touch batch). secretFrac < 0 marks
-// a plain fill (one draw per entry); >= 0 a secret fill (two).
+// replay from anchor src after skip draws (the stream's lag when the
+// Touch began plus the draws of earlier runs in the same batch).
+// secretFrac < 0 marks a plain fill (one draw per entry); >= 0 a
+// secret fill (two).
 type fillRun struct {
 	src        [4]uint64
-	skip       uint32
+	skip       uint64
 	n          int32
 	start      int32 // ring cursor where the run's first entry lands
 	domain     DomainID
 	secretFrac float64
 }
+
+// live returns the runs that have not been overwritten.
+func (b *Buffer) live() []fillRun { return b.runs[b.head:] }
 
 // NewBuffer returns an empty buffer of the given capacity.
 func NewBuffer(kind StructKind, capacity int) *Buffer {
@@ -222,8 +232,9 @@ func (b *Buffer) CountDomain(d DomainID) int {
 	n := 0
 	if b.pend > 0 {
 		newer := 0
-		for i := len(b.runs) - 1; i >= 0; i-- {
-			r := &b.runs[i]
+		runs := b.live()
+		for i := len(runs) - 1; i >= 0; i-- {
+			r := &runs[i]
 			vis := int(r.n)
 			if over := newer - (b.cap - vis); over > 0 {
 				vis -= over
@@ -307,6 +318,7 @@ func (b *Buffer) Flush() {
 	b.entries = b.entries[:0]
 	b.next = 0
 	b.runs = b.runs[:0]
+	b.head = 0
 	b.pend = 0
 	b.vlen = 0
 	b.vnext = 0
@@ -338,16 +350,23 @@ func (b *Buffer) FlushDomain(d DomainID) {
 }
 
 // pushFill records a deferred bulk fill of n entries by domain d whose
-// tags derive from stream state src after skip draws. The caller is
+// tags derive from anchor state src after skip draws. The caller is
 // responsible for advancing the live stream (Source.Skip) by exactly
 // the draws the fill would have consumed.
-func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, src [4]uint64, skip uint32) {
+func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, src [4]uint64, skip uint64) {
 	if b.pend == 0 {
 		b.vlen, b.vnext = len(b.entries), b.next
 	}
 	start := b.vlen
 	if b.vlen == b.cap {
 		start = b.vnext
+	}
+	// Compact only when append would otherwise grow the slice, and only
+	// when at least half of it is dead, so the copies amortize to O(1)
+	// per fill; otherwise let append grow it.
+	if len(b.runs) == cap(b.runs) && b.head > 0 && 2*b.head >= len(b.runs) {
+		b.runs = b.runs[:copy(b.runs, b.live())]
+		b.head = 0
 	}
 	b.runs = append(b.runs, fillRun{
 		src: src, skip: skip, n: int32(n), start: int32(start),
@@ -364,36 +383,31 @@ func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, src [4]uint64, 
 		b.vnext = 0
 	}
 	// Slide the window: runs fully overwritten by everything recorded
-	// after them will never be observed, so drop them (and their replay
-	// cost) now. The draws they consumed are already accounted for in
-	// the stream.
-	drop := 0
-	for drop < len(b.runs)-1 && b.pend-int(b.runs[drop].n) >= b.cap {
-		b.pend -= int(b.runs[drop].n)
-		drop++
-	}
-	if drop > 0 {
-		b.runs = b.runs[:copy(b.runs, b.runs[drop:])]
+	// after them will never be observed, so retire them (and their
+	// replay cost) now by advancing head. The draws they consumed are
+	// already accounted for in the stream.
+	for b.head < len(b.runs)-1 && b.pend-int(b.runs[b.head].n) >= b.cap {
+		b.pend -= int(b.runs[b.head].n)
+		b.head++
 	}
 }
 
-// materialize replays every pending run, reconstructing the exact
-// entries an eager fill would have produced: each run's tag stream is
-// restored from its recorded start state and its entries written at
-// their recorded ring positions. Runs dropped by the sliding window are
-// not replayed; the entries they wrote are provably overwritten by the
-// runs that remain.
+// materialize replays every live run, reconstructing the exact entries
+// an eager fill would have produced: each run's tag stream is restored
+// from its recorded anchor, advanced by its recorded skip (resolved by
+// the first draw), and its entries written at their recorded ring
+// positions. Runs retired by the sliding window are not replayed; the
+// entries they wrote are provably overwritten by the live runs.
 func (b *Buffer) materialize() {
 	for len(b.entries) < b.vlen {
 		b.entries = append(b.entries, Entry{})
 	}
-	for ri := range b.runs {
-		r := &b.runs[ri]
+	runs := b.live()
+	for ri := range runs {
+		r := &runs[ri]
 		var s sim.Source
 		s.SetState(r.src)
-		if r.skip > 0 {
-			s.Skip(uint64(r.skip))
-		}
+		s.Skip(r.skip)
 		pos := int(r.start)
 		if r.secretFrac < 0 {
 			for i := 0; i < int(r.n); i++ {
@@ -416,5 +430,6 @@ func (b *Buffer) materialize() {
 	}
 	b.next = b.vnext
 	b.runs = b.runs[:0]
+	b.head = 0
 	b.pend = 0
 }
