@@ -1,4 +1,4 @@
-# Development entry points. `make check` is the full gate: vet, build,
+# Development entry points. `make check` is the full gate: gofmt, vet, build,
 # a fast race pass over the runner and engine, full race-enabled tests,
 # a benchsuite smoke run, a traced-run smoke (Chrome trace export), the
 # perf smoke (microbenchmarks + allocation gates -> BENCH_7.json, no
@@ -7,11 +7,15 @@
 
 GO ?= go
 
-.PHONY: all check vet build test race race-fast smoke trace-smoke determinism bench bench-full bench-paper profile clean
+.PHONY: all check fmt vet build test race race-fast smoke trace-smoke determinism bench bench-full bench-paper profile clean
 
 all: check
 
-check: vet build race-fast race smoke trace-smoke bench determinism
+check: fmt vet build race-fast race smoke trace-smoke bench determinism
+
+# Every Go file must be gofmt-clean; the offenders are listed on failure.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

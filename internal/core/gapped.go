@@ -44,18 +44,21 @@ func (v *VCPU) postRunCall() {
 	// self-initiated exit is folded in here.
 	if len(v.kickQueue) > 0 {
 		v.pendingInj = append(v.pendingInj, v.kickQueue...)
-		v.kickQueue = nil
+		v.kickQueue = v.kickQueue[:0]
 		v.kickRequested = false
 	}
 	v.mb.Post("run", p.Transport.Prop)
-	v.eng().After(p.Transport.PickupLatency(), v.mb.Name()+":pickup", func() {
-		if v.stopped {
-			return
-		}
-		if _, ok := v.mb.TryTake(); ok {
-			v.enterGuest()
-		}
-	})
+	v.eng().After(p.Transport.PickupLatency(), "pickup", v.pickupFn)
+}
+
+// pickup is the monitor's poll finding the posted run call.
+func (v *VCPU) pickup() {
+	if v.stopped {
+		return
+	}
+	if _, ok := v.mb.TryTake(); ok {
+		v.enterGuest()
+	}
 }
 
 // enterGuest is the monitor-side REC entry on the dedicated core.
@@ -71,48 +74,60 @@ func (v *VCPU) enterGuest() {
 	n.Eng.Count(cRECEnter)
 	n.Eng.Trace().Emit(sim.TCExit, "core.rec_enter", int32(v.dcore), int64(v.idx))
 	if v.haveExitStamp {
-		n.Met.Lat(v.vm.name+".runtorun", n.Eng.Now(), n.Eng.Now().Sub(v.exitCompletedAt))
+		n.Met.Lat(v.vm.runToRunName, n.Eng.Now(), n.Eng.Now().Sub(v.exitCompletedAt))
 		v.haveExitStamp = false
 	}
 	// Context restore on the dedicated core, then guest execution.
-	v.eng().After(p.CtxSaveWipe, "ctx-restore", func() {
-		if v.stopped {
-			return
-		}
-		v.inGuest = true
-		v.epoch++
-		v.startTimers()
-		n.Mach.Core(v.dcore).RecordExecution(v.vm.domain, v.footprint(), 0.02)
+	v.eng().After(p.CtxSaveWipe, "ctx-restore", v.ctxRestoreFn)
+}
 
-		// Deliver interrupts the host passed in the run call.
-		inj := v.pendingInj
-		v.pendingInj = nil
-		var handlerCost sim.Duration
-		for _, ev := range inj {
-			v.deliverEvent(ev)
-			handlerCost += p.GuestIRQHandle
-		}
-		epoch := v.epoch
-		proceed := func() {
-			if v.stopped || !v.inGuest || v.epoch != epoch {
-				// An exit intervened while the handler cost elapsed;
-				// the re-entry path owns the continuation now.
-				return
-			}
-			if v.tickEOIPending {
-				// Second exit of a non-delegated timer tick.
-				v.tickEOIPending = false
-				v.exitToHost(exitInfo{reason: ExitTimer})
-				return
-			}
-			v.resumeGuest() // WFI guests simply keep sitting on their core
-		}
-		if handlerCost > 0 {
-			v.eng().After(handlerCost, "irq-handlers", proceed)
-		} else {
-			proceed()
-		}
-	})
+// ctxRestore completes REC entry once the context is restored: the
+// guest is live, and the interrupts the host passed in the run call are
+// delivered before it resumes.
+func (v *VCPU) ctxRestore() {
+	if v.stopped {
+		return
+	}
+	n := v.node()
+	v.inGuest = true
+	v.epoch++
+	v.startTimers()
+	n.Mach.Core(v.dcore).RecordExecution(v.vm.domain, v.footprint(), 0.02)
+
+	// Deliver interrupts the host passed in the run call. The list is
+	// double-buffered: anything queued while delivering lands in the
+	// spare array, and the drained one becomes the next spare.
+	inj := v.pendingInj
+	v.pendingInj = v.injSpare[:0]
+	var handlerCost sim.Duration
+	for _, ev := range inj {
+		v.deliverEvent(ev)
+		handlerCost += v.params().GuestIRQHandle
+	}
+	v.injSpare = inj[:0]
+	if handlerCost > 0 {
+		v.eng().After(handlerCost, "irq-handlers", v.bind(afterEntryHandlers, vcpuCall{epoch: v.epoch}))
+	} else {
+		afterEntryHandlers(vcpuCall{v: v, epoch: v.epoch})
+	}
+}
+
+// afterEntryHandlers resumes the guest once the entry's interrupt
+// handlers have run, unless an exit intervened.
+func afterEntryHandlers(c vcpuCall) {
+	v := c.v
+	if v.stopped || !v.inGuest || v.epoch != c.epoch {
+		// An exit intervened while the handler cost elapsed; the
+		// re-entry path owns the continuation now.
+		return
+	}
+	if v.tickEOIPending {
+		// Second exit of a non-delegated timer tick.
+		v.tickEOIPending = false
+		v.exitToHost(exitInfo{reason: ExitTimer})
+		return
+	}
+	v.resumeGuest() // WFI guests simply keep sitting on their core
 }
 
 // advance interprets the program's next action on the dedicated core.
@@ -145,14 +160,7 @@ func (v *VCPU) advance() {
 		if req.Dev == guest.SRIOVNet {
 			// Pass-through doorbell: a device register write, no trap.
 			v.remWork = 200
-			v.afterCompute = func() {
-				v.vm.VMM.VF.Submit(v.idx, req)
-				if req.Sync {
-					v.waitIO = true
-				} else {
-					v.advance()
-				}
-			}
+			v.afterCompute = v.bind(vfDoorbellDone, vcpuCall{req: req})
 			v.startGuestCompute()
 			return
 		}
@@ -200,19 +208,35 @@ func (v *VCPU) startGuestCompute() {
 		// handler) already resumed the guest; the first wins.
 		return
 	}
-	core.Exec.Start(v.mb.Name()+":guest", v.remWork, 1.0, func() {
-		v.remWork = 0
-		cont := v.afterCompute
-		v.afterCompute = nil
-		if v.stopped {
-			return
-		}
-		if cont != nil {
-			cont()
-		} else {
-			v.advance()
-		}
-	})
+	core.Exec.Start("guest", v.remWork, 1.0, v.guestDoneFn)
+}
+
+// guestComputeDone ends a compute slice on the dedicated core and runs
+// its continuation.
+func (v *VCPU) guestComputeDone() {
+	v.remWork = 0
+	cont := v.afterCompute
+	v.afterCompute = nil
+	if v.stopped {
+		return
+	}
+	if cont != nil {
+		cont()
+	} else {
+		v.advance()
+	}
+}
+
+// vfDoorbellDone follows the SR-IOV doorbell write: the request goes to
+// the virtual function with no host involvement.
+func vfDoorbellDone(c vcpuCall) {
+	v := c.v
+	v.vm.VMM.VF.Submit(v.idx, c.req)
+	if c.req.Sync {
+		v.waitIO = true
+	} else {
+		v.advance()
+	}
 }
 
 // pauseGuestCompute preempts the guest, remembering remaining work.
@@ -258,17 +282,23 @@ func (v *VCPU) exitToHost(info exitInfo) {
 	v.countExit(info.reason)
 	n.Mon.NoteExit(v.rec)
 
-	v.eng().After(p.CtxSaveWipe, "ctx-save", func() {
-		if v.stopped {
-			return
-		}
-		v.mb.Complete(info, p.Transport.Prop)
-		v.exitCompletedAt = n.Eng.Now()
-		v.haveExitStamp = true
-		if !n.Opts.BusyWaitRPC {
-			n.Mach.SendIPI(v.dcore, v.vm.assign.hostCore, hw.IPIGuestExit)
-		}
-	})
+	v.exit = info
+	v.eng().After(p.CtxSaveWipe, "ctx-save", v.ctxSaveFn)
+}
+
+// ctxSave posts the exit record once the context is saved and wiped,
+// and notifies the host core.
+func (v *VCPU) ctxSave() {
+	if v.stopped {
+		return
+	}
+	n := v.node()
+	v.mb.Complete(&v.exit, v.params().Transport.Prop)
+	v.exitCompletedAt = n.Eng.Now()
+	v.haveExitStamp = true
+	if !n.Opts.BusyWaitRPC {
+		n.Mach.SendIPI(v.dcore, v.vm.assign.hostCore, hw.IPIGuestExit)
+	}
 }
 
 // hostPollOnce checks this vCPU's channel for a completed exit and, if
@@ -280,13 +310,11 @@ func (v *VCPU) hostPollOnce() {
 	if !ok {
 		return
 	}
-	info := resp.(exitInfo)
-	n := v.node()
-	work := v.hostExitWork(info)
-	n.Kern.Submit(v.thread, "exit:"+info.reason.String(), work, func() {
-		v.finishExit(info)
-	})
+	info := *resp.(*exitInfo)
+	v.node().Kern.Submit(v.thread, "exit", v.hostExitWork(info), v.bind(finishExitCall, vcpuCall{exit: info}))
 }
+
+func finishExitCall(c vcpuCall) { c.v.finishExit(c.exit) }
 
 // hostExitWork is the host-side CPU cost of handling one exit. Every
 // path starts with the vCPU-thread wake (the run call returning) and the
@@ -331,7 +359,7 @@ func (v *VCPU) finishExit(info exitInfo) {
 		}
 	case ExitKick:
 		v.pendingInj = append(v.pendingInj, v.kickQueue...)
-		v.kickQueue = nil
+		v.kickQueue = v.kickQueue[:0]
 		v.kickRequested = false
 	case ExitHalt:
 		return // never re-entered
@@ -364,21 +392,24 @@ func (v *VCPU) hostRequestInjection(ev guest.Event) {
 		return
 	}
 	v.kickRequested = true
-	n.Kern.Submit(v.thread, "inject-kick", work, func() {
-		if v.stopped {
-			return
-		}
-		// If the guest is currently in (or entering) a run call, doorbell
-		// its core; the monitor will exit with ExitKick. Otherwise the
-		// events ride along on the next entry.
-		if v.mb.State() == rpc.Serving {
-			n.Mach.SendIPI(v.vm.assign.hostCore, v.dcore, hw.IPIHostToRMM)
-		} else {
-			v.pendingInj = append(v.pendingInj, v.kickQueue...)
-			v.kickQueue = nil
-			v.kickRequested = false
-		}
-	})
+	n.Kern.Submit(v.thread, "inject-kick", work, v.injectKickFn)
+}
+
+// injectKick is the host's injection request reaching the vCPU thread.
+func (v *VCPU) injectKick() {
+	if v.stopped {
+		return
+	}
+	// If the guest is currently in (or entering) a run call, doorbell
+	// its core; the monitor will exit with ExitKick. Otherwise the
+	// events ride along on the next entry.
+	if v.mb.State() == rpc.Serving {
+		v.node().Mach.SendIPI(v.vm.assign.hostCore, v.dcore, hw.IPIHostToRMM)
+	} else {
+		v.pendingInj = append(v.pendingInj, v.kickQueue...)
+		v.kickQueue = v.kickQueue[:0]
+		v.kickRequested = false
+	}
 }
 
 // onHostKick runs on the dedicated core when the host doorbells it.
@@ -404,36 +435,21 @@ func (v *VCPU) onTick() {
 	}
 	n := v.node()
 	p := v.params()
-	n.Met.Counter(v.vm.name + ".ticks").Inc()
+	v.vm.inc(&v.vm.met.ticks, "", "ticks")
 
 	if n.Opts.DelegateTimer {
 		// Monitor-local emulation (§4.4): trap, re-arm, inject, guest
 		// handler — all on the dedicated core, no host interaction.
 		n.Eng.Count(cTickDeleg)
 		n.Eng.Trace().Emit(sim.TCIRQ, "core.tick_delegated", int32(v.dcore), int64(v.idx))
-		n.Met.Counter(v.vm.name + ".ticks.delegated").Inc()
+		v.vm.inc(&v.vm.met.ticksDelegated, "ticks.", "delegated")
 		if !v.inGuest {
 			return // vCPU between run calls; tick state folded into entry
 		}
 		v.pauseGuestCompute()
 		cost := p.RMMTimerHandle + p.GuestIRQHandle
 		n.Mach.Core(v.dcore).RecordExecution(uarch.DomainMonitor, 0.02, 0)
-		epoch := v.epoch
-		v.eng().After(cost, "tick-delegated", func() {
-			if v.stopped || !v.inGuest || v.epoch != epoch {
-				// An exit (and possibly re-entry) intervened; the tick
-				// folded into the exit path.
-				return
-			}
-			v.vm.prog.Deliver(v.idx, guest.Event{Kind: guest.EvTimer})
-			if v.idle {
-				// Timer wake-up from WFI: re-evaluate the program.
-				v.idle = false
-				v.advance()
-				return
-			}
-			v.resumeGuest()
-		})
+		v.eng().After(cost, "tick-delegated", v.bind(delegatedTickDone, vcpuCall{epoch: v.epoch}))
 		return
 	}
 
@@ -445,6 +461,24 @@ func (v *VCPU) onTick() {
 	v.pendingInj = append(v.pendingInj, guest.Event{Kind: guest.EvTimer})
 	v.tickEOIPending = true
 	v.exitToHost(exitInfo{reason: ExitTimer})
+}
+
+// delegatedTickDone delivers a delegated timer tick once the monitor and
+// guest handlers have run, unless an exit (and possibly re-entry)
+// intervened — the tick then folded into the exit path.
+func delegatedTickDone(c vcpuCall) {
+	v := c.v
+	if v.stopped || !v.inGuest || v.epoch != c.epoch {
+		return
+	}
+	v.vm.prog.Deliver(v.idx, guest.Event{Kind: guest.EvTimer})
+	if v.idle {
+		// Timer wake-up from WFI: re-evaluate the program.
+		v.idle = false
+		v.advance()
+		return
+	}
+	v.resumeGuest()
 }
 
 // onResidual fires a background management/miscellaneous exit.
@@ -476,25 +510,30 @@ func (v *VCPU) delegatedVIPI(target int) {
 	p := v.params()
 	n.Eng.Count(cVIPIDeleg)
 	n.Eng.Trace().Emit(sim.TCIRQ, "core.vipi_delegated", int32(v.dcore), int64(target))
-	n.Met.Counter(v.vm.name + ".vipi.delegated").Inc()
+	v.vm.inc(&v.vm.met.vipiDelegated, "vipi.", "delegated")
 	if target < 0 || target >= len(v.vm.vcpus) {
 		v.advance()
 		return
 	}
-	tgt := v.vm.vcpus[target]
 	// Sender-side trap and routing cost in the monitor.
 	v.remWork = 0
-	v.eng().After(p.RMMVIPIHandle, "vipi-delegated", func() {
-		if v.stopped {
-			return
-		}
-		// Physical IPI to the target's dedicated core.
-		v.eng().After(n.Mach.IPILatency(), "vipi-wire", func() {
-			tgt.receiveDelegatedVIPI(v.idx)
-		})
-		v.advance() // sender continues immediately after the trap
-	})
+	v.eng().After(p.RMMVIPIHandle, "vipi-delegated", v.bind(delegatedVIPIRouted, vcpuCall{peer: target}))
 }
+
+// delegatedVIPIRouted ends the monitor's trap of a delegated vIPI: the
+// physical IPI leaves for the target's dedicated core (c.peer) and the
+// sender continues.
+func delegatedVIPIRouted(c vcpuCall) {
+	v := c.v
+	if v.stopped {
+		return
+	}
+	tgt := v.vm.vcpus[c.peer]
+	v.eng().After(v.node().Mach.IPILatency(), "vipi-wire", tgt.bind(delegatedVIPIArrived, vcpuCall{peer: v.idx}))
+	v.advance() // sender continues immediately after the trap
+}
+
+func delegatedVIPIArrived(c vcpuCall) { c.v.receiveDelegatedVIPI(c.peer) }
 
 // receiveDelegatedVIPI injects a vIPI on the target's dedicated core.
 func (v *VCPU) receiveDelegatedVIPI(from int) {
@@ -508,21 +547,27 @@ func (v *VCPU) receiveDelegatedVIPI(from int) {
 		return
 	}
 	v.pauseGuestCompute()
-	epoch := v.epoch
-	v.eng().After(p.RMMVIPIHandle+p.GuestIRQHandle, "vipi-deliver", func() {
-		if v.stopped {
-			return
-		}
-		if !v.inGuest || v.epoch != epoch {
-			// The guest exited under us: deliver on its next entry so
-			// the interrupt is never lost.
-			v.pendingInj = append(v.pendingInj, guest.Event{Kind: guest.EvVIPI, From: from})
-			return
-		}
-		if v.deliverEvent(guest.Event{Kind: guest.EvVIPI, From: from}) {
-			v.advance()
-			return
-		}
-		v.resumeGuest()
-	})
+	v.eng().After(p.RMMVIPIHandle+p.GuestIRQHandle, "vipi-deliver",
+		v.bind(delegatedVIPIDelivered, vcpuCall{epoch: v.epoch, peer: from}))
+}
+
+// delegatedVIPIDelivered injects a delegated vIPI from c.peer once the
+// monitor and guest handlers have run.
+func delegatedVIPIDelivered(c vcpuCall) {
+	v := c.v
+	if v.stopped {
+		return
+	}
+	ev := guest.Event{Kind: guest.EvVIPI, From: c.peer}
+	if !v.inGuest || v.epoch != c.epoch {
+		// The guest exited under us: deliver on its next entry so the
+		// interrupt is never lost.
+		v.pendingInj = append(v.pendingInj, ev)
+		return
+	}
+	if v.deliverEvent(ev) {
+		v.advance()
+		return
+	}
+	v.resumeGuest()
 }

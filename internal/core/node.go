@@ -92,7 +92,9 @@ type Node struct {
 	nextPA  granule.PA
 	tagSeed *sim.Source
 	// wakeups holds the per-host-core wake-up threads (Fig. 4).
-	wakeups map[hw.CoreID]*host.Thread
+	wakeups map[hw.CoreID]*wakeup
+	// calls recycles the payloads of vCPU continuations in flight.
+	calls sim.Thunks[vcpuCall]
 	// boot, when armed via UseBootCache, captures or forks guest boot
 	// snapshots for sweep trials sharing a BootKey.
 	boot *bootFork

@@ -36,34 +36,20 @@ func (v *VCPU) advanceShared() {
 	case guest.ActCompute:
 		work := sim.Duration(float64(v.cur.Work) * v.encFactor())
 		v.hasCur = false
-		n.Kern.Submit(v.thread, "guest", work, func() { v.advanceShared() })
+		n.Kern.Submit(v.thread, "guest", work, v.advanceSharedFn)
 
 	case guest.ActIO:
 		req := v.cur.Req
 		v.hasCur = false
 		if req.Dev == guest.SRIOVNet {
-			n.Kern.Submit(v.thread, "vf-doorbell", 200, func() {
-				v.vm.VMM.VF.Submit(v.idx, req)
-				if req.Sync {
-					v.waitIO = true
-				} else {
-					v.advanceShared()
-				}
-			})
+			n.Kern.Submit(v.thread, "vf-doorbell", 200, v.bind(sharedVFDoorbellDone, vcpuCall{req: req}))
 			return
 		}
 		// virtio doorbell: same-core exit bouncing to the userspace VMM
 		// (one local user/kernel round trip), then the request lands on
 		// the VMM I/O thread.
 		v.countExit(ExitMMIO)
-		n.Kern.Submit(v.thread, "mmio-exit", p.KVMExitKernel+p.SharedMMIO, func() {
-			v.vm.VMM.Submit(v.idx, req)
-			if req.Sync {
-				v.waitIO = true
-			} else {
-				v.advanceShared()
-			}
-		})
+		n.Kern.Submit(v.thread, "mmio-exit", p.KVMExitKernel+p.SharedMMIO, v.bind(sharedMMIOExitDone, vcpuCall{req: req}))
 
 	case guest.ActVIPI:
 		target := v.cur.Target
@@ -75,15 +61,7 @@ func (v *VCPU) advanceShared() {
 		// Sender's trap is handled by the in-kernel vGIC fast path on
 		// the same core (Table 3's 3.85 µs), then a physical IPI kicks
 		// the target core.
-		n.Kern.Submit(v.thread, "vipi-exit", p.SharedVGIC+150, func() {
-			if target >= 0 && target < len(v.vm.vcpus) {
-				tgt := v.vm.vcpus[target]
-				v.eng().After(n.Mach.IPILatency(), "vipi-wire", func() {
-					tgt.sharedInject(guest.Event{Kind: guest.EvVIPI, From: v.idx})
-				})
-			}
-			v.advanceShared()
-		})
+		n.Kern.Submit(v.thread, "vipi-exit", p.SharedVGIC+150, v.bind(sharedVIPIExitDone, vcpuCall{peer: target}))
 
 	case guest.ActWFI:
 		v.hasCur = false
@@ -104,11 +82,52 @@ func (v *VCPU) sharedInject(ev guest.Event) {
 		return
 	}
 	p := v.params()
-	v.node().Kern.Submit(v.thread, "inject", p.SharedVGIC+p.GuestIRQHandle, func() {
-		if v.deliverEvent(ev) {
-			v.advanceShared()
-		}
-	})
+	v.node().Kern.Submit(v.thread, "inject", p.SharedVGIC+p.GuestIRQHandle, v.bind(sharedInjectDone, vcpuCall{ev: ev}))
+}
+
+func sharedInjectDone(c vcpuCall) {
+	if c.v.deliverEvent(c.ev) {
+		c.v.advanceShared()
+	}
+}
+
+// sharedVFDoorbellDone follows the SR-IOV doorbell write on the vCPU
+// thread: the request goes straight to the virtual function.
+func sharedVFDoorbellDone(c vcpuCall) {
+	v := c.v
+	v.vm.VMM.VF.Submit(v.idx, c.req)
+	if c.req.Sync {
+		v.waitIO = true
+	} else {
+		v.advanceShared()
+	}
+}
+
+// sharedMMIOExitDone hands a virtio request to the VMM I/O thread after
+// the same-core exit.
+func sharedMMIOExitDone(c vcpuCall) {
+	v := c.v
+	v.vm.VMM.Submit(v.idx, c.req)
+	if c.req.Sync {
+		v.waitIO = true
+	} else {
+		v.advanceShared()
+	}
+}
+
+// sharedVIPIExitDone ends the sender's vGIC trap: a physical IPI kicks
+// the target vCPU (c.peer) and the sender continues.
+func sharedVIPIExitDone(c vcpuCall) {
+	v := c.v
+	if c.peer >= 0 && c.peer < len(v.vm.vcpus) {
+		tgt := v.vm.vcpus[c.peer]
+		v.eng().After(v.node().Mach.IPILatency(), "vipi-wire", tgt.bind(sharedVIPIArrived, vcpuCall{peer: v.idx}))
+	}
+	v.advanceShared()
+}
+
+func sharedVIPIArrived(c vcpuCall) {
+	c.v.sharedInject(guest.Event{Kind: guest.EvVIPI, From: c.peer})
 }
 
 // onTickShared charges one timer tick on the shared path: the exit and
@@ -118,7 +137,7 @@ func (v *VCPU) sharedInject(ev guest.Event) {
 func (v *VCPU) onTickShared() {
 	n := v.node()
 	p := v.params()
-	n.Met.Counter(v.vm.name + ".ticks").Inc()
+	v.vm.inc(&v.vm.met.ticks, "", "ticks")
 	v.countExit(ExitTimer)
 
 	base := p.KVMExitKernel + p.SharedVGIC + p.GuestIRQHandle + p.HostNoise
@@ -136,11 +155,15 @@ func (v *VCPU) onTickShared() {
 	}
 	// vCPU not on a core right now (queued or in WFI): charge the
 	// handler as a work item, which also wakes an idle guest.
-	n.Kern.Submit(v.thread, "tick", base, func() {
-		v.vm.prog.Deliver(v.idx, guest.Event{Kind: guest.EvTimer})
-		if v.idle {
-			v.idle = false
-			v.advanceShared()
-		}
-	})
+	n.Kern.Submit(v.thread, "tick", base, v.sharedTickFn)
+}
+
+// sharedTick runs a timer tick's guest handler on the vCPU thread,
+// waking an idle guest.
+func (v *VCPU) sharedTick() {
+	v.vm.prog.Deliver(v.idx, guest.Event{Kind: guest.EvTimer})
+	if v.idle {
+		v.idle = false
+		v.advanceShared()
+	}
 }

@@ -22,6 +22,8 @@ const (
 	ExitMisc                      // other traps (console, sysregs)
 	ExitKick                      // host-requested exit for injection (Fig. 5)
 	ExitHalt                      // vCPU finished
+
+	numExitReasons
 )
 
 // InterruptRelated reports whether the reason counts into Table 4's
@@ -97,6 +99,7 @@ type VCPU struct {
 	haveExitStamp   bool
 	kickQueue       []guest.Event
 	pendingInj      []guest.Event
+	injSpare        []guest.Event // pendingInj's second buffer (ctxRestore)
 	kickRequested   bool
 	// tickEOIPending marks that the guest must take the second
 	// (EOI/re-arm) exit of a non-delegated timer tick after re-entry.
@@ -113,8 +116,59 @@ type VCPU struct {
 	// parked marks a vCPU held out of execution by a host-initiated
 	// suspend; resume re-issues its run call.
 	parked bool
+	// exit is the record of the exit in flight, from exitToHost until
+	// the monitor posts it: the mailbox carries &exit rather than a
+	// boxed copy, and the call protocol (one outstanding response)
+	// keeps it stable until the host has read it.
+	exit exitInfo
 
 	src *sim.Source
+
+	// Per-event callbacks, bound once in newVCPU so the exit, entry and
+	// compute paths allocate nothing. Continuations that carry a payload
+	// go through bind instead.
+	guestDoneFn     func() // guestComputeDone
+	hostPollFn      func() // hostPollOnce
+	pickupFn        func() // pickup
+	ctxSaveFn       func() // ctxSave
+	ctxRestoreFn    func() // ctxRestore
+	injectKickFn    func() // injectKick
+	advanceSharedFn func() // advanceShared
+	sharedTickFn    func() // sharedTick
+}
+
+// newVCPU builds vCPU idx of vm on dedicated core dcore (hw.NoCore in
+// shared mode) with its per-event callbacks bound.
+func newVCPU(vm *VM, idx int, dcore hw.CoreID) *VCPU {
+	v := &VCPU{vm: vm, idx: idx, dcore: dcore, pendingRebind: hw.NoCore}
+	v.guestDoneFn = v.guestComputeDone
+	v.hostPollFn = v.hostPollOnce
+	v.pickupFn = v.pickup
+	v.ctxSaveFn = v.ctxSave
+	v.ctxRestoreFn = v.ctxRestore
+	v.injectKickFn = v.injectKick
+	v.advanceSharedFn = v.advanceShared
+	v.sharedTickFn = v.sharedTick
+	return v
+}
+
+// vcpuCall is the payload of a vCPU continuation in flight: the vCPU it
+// resumes, plus whichever of the entry epoch it checks, the peer vCPU,
+// the I/O request, the exit record or the guest event it carries.
+type vcpuCall struct {
+	v     *VCPU
+	epoch uint64
+	peer  int
+	req   guest.IORequest
+	exit  exitInfo
+	ev    guest.Event
+}
+
+// bind returns a callback running fn(c) for this vCPU, drawn from the
+// node's free list (see sim.Thunks).
+func (v *VCPU) bind(fn func(vcpuCall), c vcpuCall) func() {
+	c.v = v
+	return v.vm.node.calls.Bind(fn, c)
 }
 
 // Index reports the vCPU index.
@@ -127,7 +181,7 @@ func (v *VCPU) Halted() bool { return v.halted }
 func (v *VCPU) DedicatedCore() hw.CoreID { return v.dcore }
 
 func (v *VCPU) node() *Node      { return v.vm.node }
-func (v *VCPU) params() Params   { return v.vm.node.P }
+func (v *VCPU) params() *Params  { return &v.vm.node.P }
 func (v *VCPU) eng() *sim.Engine { return v.vm.node.Eng }
 
 func (v *VCPU) gapped() bool { return v.vm.node.Opts.Mode == Gapped }
@@ -145,11 +199,12 @@ func (v *VCPU) countExit(r ExitReason) {
 	n := v.node()
 	n.Eng.Count(cVCPUExit)
 	n.Eng.Trace().Emit(sim.TCExit, exitTraceName(r), int32(v.dcore), int64(v.idx))
-	n.Met.Counter(v.vm.name + ".exits.total").Inc()
+	vm, c := v.vm, &v.vm.met
+	vm.inc(&c.exitsTotal, "exits.", "total")
 	if r.InterruptRelated() {
-		n.Met.Counter(v.vm.name + ".exits.interrupt").Inc()
+		vm.inc(&c.exitsInterrupt, "exits.", "interrupt")
 	}
-	n.Met.Counter(v.vm.name + ".exits." + r.String()).Inc()
+	vm.inc(&c.exits[r], "exits.", r.String())
 }
 
 // startTimers arms the guest tick and the residual-exit generators.
@@ -162,12 +217,12 @@ func (v *VCPU) startTimers() {
 	p := v.params()
 	v.src = n.Eng.Source("vcpu." + v.thread.Name())
 
-	v.tick = sim.NewTicker(n.Eng, v.thread.Name()+":tick", p.GuestTick, v.onTick)
+	v.tick = sim.NewTicker(n.Eng, "tick", p.GuestTick, v.onTick)
 	// Stagger tick phases across vCPUs: real guests do not tick in
 	// lockstep, and a thundering herd of synchronized timer exits would
 	// distort the host-core queueing model.
 	phase := v.src.Duration(0, p.GuestTick-1)
-	n.Eng.After(phase, v.thread.Name()+":tick-phase", func() {
+	n.Eng.After(phase, "tick-phase", func() {
 		if !v.halted && !v.stopped {
 			v.tick.Start()
 		}
@@ -175,7 +230,7 @@ func (v *VCPU) startTimers() {
 
 	if v.gapped() {
 		if p.MgmtExitRate > 0 {
-			v.mgmtTimer = sim.NewTimer(n.Eng, v.thread.Name()+":mgmt", func() { v.onResidual(ExitMgmtIRQ) })
+			v.mgmtTimer = sim.NewTimer(n.Eng, "mgmt", func() { v.onResidual(ExitMgmtIRQ) })
 			v.mgmtTimer.Arm(v.src.Exp(rateToMean(p.MgmtExitRate)))
 		}
 		misc := p.MiscExitRateDeleg
@@ -183,7 +238,7 @@ func (v *VCPU) startTimers() {
 			misc = p.MiscExitRateNoDeleg
 		}
 		if misc > 0 {
-			v.miscTimer = sim.NewTimer(n.Eng, v.thread.Name()+":misc", func() { v.onResidual(ExitMisc) })
+			v.miscTimer = sim.NewTimer(n.Eng, "misc", func() { v.onResidual(ExitMisc) })
 			v.miscTimer.Arm(v.src.Exp(rateToMean(misc)))
 		}
 	}
@@ -246,7 +301,7 @@ func (v *VCPU) deliverEvent(ev guest.Event) bool {
 	v.node().Eng.Trace().Emit(sim.TCIRQ, "core.inject", int32(v.dcore), int64(ev.Kind))
 	if ev.Kind == guest.EvVIPI && v.idx < len(v.vm.vipiSentAt) {
 		if t := v.vm.vipiSentAt[v.idx]; t != 0 {
-			v.node().Met.Lat(v.vm.name+".vipi.latency", v.eng().Now(), v.eng().Now().Sub(t))
+			v.node().Met.Lat(v.vm.vipiLatName, v.eng().Now(), v.eng().Now().Sub(t))
 			v.vm.vipiSentAt[v.idx] = 0
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"coregap/internal/rmm"
 	"coregap/internal/rpc"
 	"coregap/internal/sim"
+	"coregap/internal/trace"
 	"coregap/internal/uarch"
 	"coregap/internal/vmm"
 )
@@ -37,6 +38,28 @@ type VM struct {
 
 	// suspended marks a host-initiated suspension in progress (§7).
 	suspended bool
+
+	// Hot-path metric handles and latency-metric names, resolved once
+	// per VM instead of built per event (see inc).
+	met          vmCounters
+	runToRunName string
+	vipiLatName  string
+}
+
+// vmCounters caches the per-VM counters the exit and interrupt paths
+// bump on every event. A handle stays nil until its first increment,
+// which resolves it through Set.Counter — creating the counter, or
+// reviving it from an earlier trial of a pooled set — exactly as the
+// name-per-event lookups did, so a trial reports the same counter names
+// and values. A VM lives for one trial, inside one epoch of its set, so
+// a resolved handle never outlives the epoch it was resolved in.
+type vmCounters struct {
+	exitsTotal     *trace.Counter
+	exitsInterrupt *trace.Counter
+	exits          [numExitReasons]*trace.Counter
+	ticks          *trace.Counter
+	ticksDelegated *trace.Counter
+	vipiDelegated  *trace.Counter
 }
 
 // assignment is the planner decision realized on the node.
@@ -74,8 +97,13 @@ func (vm *VM) GuestCores() []hw.CoreID {
 	return vm.assign.guestCores
 }
 
-func (vm *VM) counter(name string) {
-	vm.node.Met.Counter(vm.name + "." + name).Inc()
+// inc increments the VM's counter <vm>.<group><name> through the cached
+// handle *h, resolving it on first use.
+func (vm *VM) inc(h **trace.Counter, group, name string) {
+	if *h == nil {
+		*h = vm.node.Met.Counter(vm.name + "." + group + name)
+	}
+	(*h).Inc()
 }
 
 // NewVM builds a guest running prog on vcpus virtual CPUs and starts it.
@@ -86,7 +114,11 @@ func (vm *VM) counter(name string) {
 // activation), vCPU-to-core binding, and the first run calls. In
 // SharedCore mode it builds a plain KVM VM with floating vCPU threads.
 func (n *Node) NewVM(name string, vcpus int, prog guest.Program) (*VM, error) {
-	vm := &VM{node: n, name: name, prog: prog, vipiSentAt: make([]sim.Time, vcpus)}
+	vm := &VM{
+		node: n, name: name, prog: prog, vipiSentAt: make([]sim.Time, vcpus),
+		runToRunName: name + ".runtorun",
+		vipiLatName:  name + ".vipi.latency",
+	}
 
 	switch n.Opts.Mode {
 	case Gapped:
@@ -248,14 +280,9 @@ func (n *Node) finishGapped(vm *VM, vcpus int, newREC func(i int) (*rmm.REC, err
 		if err != nil {
 			return err
 		}
-		v := &VCPU{
-			vm:            vm,
-			idx:           i,
-			rec:           rec,
-			dcore:         a.guestCores[i],
-			pendingRebind: hw.NoCore,
-			mb:            rpc.NewMailbox(n.Eng, fmt.Sprintf("%s/vcpu%d", vm.name, i)),
-		}
+		v := newVCPU(vm, i, a.guestCores[i])
+		v.rec = rec
+		v.mb = rpc.NewMailbox(n.Eng, fmt.Sprintf("%s/vcpu%d", vm.name, i))
 		// vCPU threads run FIFO so they preempt VMM threads when woken
 		// (§4.3); the busy-wait ablation uses yield-polling normal
 		// threads as Quarantine does — FIFO pollers would starve the
@@ -294,7 +321,7 @@ func (n *Node) finishGapped(vm *VM, vcpus int, newREC func(i int) (*rmm.REC, err
 		for _, v := range vm.vcpus {
 			v := v
 			n.Kern.SetIdlePoll(v.thread, func() (sim.Duration, func()) {
-				return n.P.BusyPollSlice, func() { v.hostPollOnce() }
+				return n.P.BusyPollSlice, v.hostPollFn
 			})
 			// Seed the polling loop.
 			n.Kern.Submit(v.thread, "poll-seed", 1, nil)
@@ -308,7 +335,7 @@ func (n *Node) setupShared(vm *VM, vcpus int) {
 	vm.VMM = vmm.New(vm.name, n.Kern, vmm.DefaultCosts(), -1, n.Met)
 	vm.VMM.SetInject(vm.injectFromHost)
 	for i := 0; i < vcpus; i++ {
-		v := &VCPU{vm: vm, idx: i, dcore: hw.NoCore, pendingRebind: hw.NoCore}
+		v := newVCPU(vm, i, hw.NoCore)
 		v.thread = n.Kern.NewThread(fmt.Sprintf("%s/vcpu%d", vm.name, i),
 			host.ClassNormal, hw.NoCore)
 		v.thread.SetDomain(vm.domain, n.P.GuestFootprint)
@@ -336,7 +363,7 @@ func (vm *VM) injectFromHost(vcpu int, ev guest.Event) {
 		return
 	}
 	n := vm.node
-	p := n.P
+	p := &n.P
 
 	if v.gapped() {
 		if ev.Kind == guest.EvPacket && v.inGuest && !v.idle && !v.waitIO {
@@ -367,21 +394,28 @@ func (vm *VM) injectFromHost(vcpu int, ev guest.Event) {
 // activates it (Fig. 4 steps 1-2).
 func (n *Node) wakeupThreadFor(core hw.CoreID) *host.Thread {
 	if n.wakeups == nil {
-		n.wakeups = make(map[hw.CoreID]*host.Thread)
+		n.wakeups = make(map[hw.CoreID]*wakeup)
 		n.Kern.RegisterIRQ(hw.IPIGuestExit, func(c hw.CoreID) {
-			if t := n.wakeups[c]; t != nil {
+			if w := n.wakeups[c]; w != nil {
 				// Activation pays the wake-up dispatch plus the scan.
-				n.Kern.Submit(t, "scan", n.P.SchedWake+n.P.WakeupScan,
-					func() { n.scanMailboxes(c) })
+				n.Kern.Submit(w.t, "scan", n.P.SchedWake+n.P.WakeupScan, w.scanFn)
 			}
 		})
 	}
-	if t, ok := n.wakeups[core]; ok {
-		return t
+	if w, ok := n.wakeups[core]; ok {
+		return w.t
 	}
-	t := n.Kern.NewThread(fmt.Sprintf("wakeup%d", core), host.ClassFIFO, core)
-	n.wakeups[core] = t
-	return t
+	w := &wakeup{t: n.Kern.NewThread(fmt.Sprintf("wakeup%d", core), host.ClassFIFO, core)}
+	w.scanFn = func() { n.scanMailboxes(core) }
+	n.wakeups[core] = w
+	return w.t
+}
+
+// wakeup is one host core's wake-up thread and its scan callback, bound
+// once per core.
+type wakeup struct {
+	t      *host.Thread
+	scanFn func()
 }
 
 // scanMailboxes is the wake-up thread body: poll every RPC channel homed

@@ -154,7 +154,7 @@ func openLoopSpecs(kind vmm.ArrivalKind, ratesKRPS []float64, window, metWin sim
 					Window: window, Rate: kr * 1000, Arrival: kind, SLO: openLoopSLO},
 				MetricsWindow: metWin,
 				Series:        mode.series, X: kr,
-				BootKey:       bootKey(1, mode.vcpus),
+				BootKey: bootKey(1, mode.vcpus),
 			})
 		}
 	}

@@ -1,10 +1,13 @@
 package exp
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
+	"coregap/internal/guest"
 	"coregap/internal/sim"
+	"coregap/internal/trace"
 )
 
 // poolingTestExperiments is the experiment set the pooled-vs-fresh
@@ -198,5 +201,119 @@ func TestFreshRunnerBypassesPooling(t *testing.T) {
 	}
 	if tr.Metrics != nil {
 		t.Error("pooled ExecuteIn must leave Trial.Metrics nil (set is recycled)")
+	}
+}
+
+// TestSteadyStateTrialAllocs extends the zero-allocation gates from the
+// engine and the per-layer cycles to whole pooled legacy trials: once a
+// worker's context is warm, a trial allocates its per-trial object
+// graph (kernel, monitor, VMs, result maps) and nothing per simulated
+// event. The gate runs each spec at N and 2N rounds of simulated length
+// — twice the CoreMark work, twice the Redis measurement window, so
+// roughly twice the exits, interrupts, IPIs, scheduler slices and
+// device round trips — and requires the allocation count per trial not
+// to grow with it at all. The simulation is deterministic, so the count
+// is exact and the gate needs no tolerance.
+func TestSteadyStateTrialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	coremark := func(cfg Config, scale int) ScenarioSpec {
+		return ScenarioSpec{ID: "coremark", Config: cfg, Cores: 4, Seed: 5,
+			Workload: Workload{Kind: WLCoreMark, VCPUs: 2, Work: sim.Duration(scale) * 200 * sim.Millisecond}}
+	}
+	redis := func(cfg Config, scale int) ScenarioSpec {
+		return ScenarioSpec{ID: "redis", Config: cfg, Cores: 4, Seed: 5,
+			Workload: Workload{Kind: WLRedis, Dev: guest.SRIOVNet, VCPUs: 2, Op: guest.OpGet,
+				Clients: 8, Bytes: 512, Window: sim.Duration(scale) * 50 * sim.Millisecond}}
+	}
+	cases := []struct {
+		name string
+		spec func(scale int) ScenarioSpec
+	}{
+		{"coremark/shared", func(s int) ScenarioSpec { return coremark(ConfigBaseline, s) }},
+		{"coremark/gapped", func(s int) ScenarioSpec { return coremark(ConfigGapped, s) }},
+		{"coremark/gapped-nodeleg", func(s int) ScenarioSpec { return coremark(ConfigGappedNoDeleg, s) }},
+		{"coremark/gapped-busywait", func(s int) ScenarioSpec { return coremark(ConfigGappedBusyWait, s) }},
+		{"redis/shared", func(s int) ScenarioSpec { return redis(ConfigBaseline, s) }},
+		{"redis/gapped", func(s int) ScenarioSpec { return redis(ConfigGapped, s) }},
+	}
+	for _, c := range cases {
+		ctx := NewTrialContext()
+		var events [3]uint64
+		run := func(scale int) {
+			tr, err := ExecuteIn(ctx, c.spec(scale))
+			if err != nil {
+				t.Fatalf("%s x%d: %v", c.name, scale, err)
+			}
+			events[scale] = tr.Meta.Events
+		}
+		// Warm the context at both lengths: heap arrays, free lists,
+		// histogram pages and queue backing arrays reach the size the
+		// longer run needs.
+		for i := 0; i < 2; i++ {
+			run(1)
+			run(2)
+		}
+		short := testing.AllocsPerRun(3, func() { run(1) })
+		long := testing.AllocsPerRun(3, func() { run(2) })
+		t.Logf("%s: allocs/trial N=%.0f (%d events) 2N=%.0f (%d events)",
+			c.name, short, events[1], long, events[2])
+		if events[2] < events[1]+500 {
+			t.Fatalf("%s: 2N trial fired %d events vs %d at N; the length scaling is broken", c.name, events[2], events[1])
+		}
+		if long > short {
+			t.Errorf("%s: a trial twice as long allocates %.0f more times (%.0f vs %.0f); the per-event path must not allocate",
+				c.name, long-short, long, short)
+		}
+	}
+}
+
+// TestPooledCounterNamesMatchFresh guards the VMs' cached counter
+// handles against stale epoch revival. Two pooled trials with different
+// exit mixes run back to back on one context — Table 4's no-delegation
+// config, whose ticks exit to the host, and the delegated config, whose
+// ticks stay on the dedicated core — in both orders. The second trial's
+// metric set must list exactly the counters, with exactly the values, a
+// fresh Execute of the same spec reports: no reason only the first
+// trial took may show up in it.
+func TestPooledCounterNamesMatchFresh(t *testing.T) {
+	cm := Workload{Kind: WLCoreMark, VCPUs: 3, Work: 100 * sim.Millisecond}
+	nodeleg := ScenarioSpec{ID: "nodeleg", Config: ConfigGappedNoDeleg, Cores: 4, Seed: 9, Workload: cm}
+	deleg := ScenarioSpec{ID: "deleg", Config: ConfigGapped, Cores: 4, Seed: 9, Workload: cm}
+	counters := func(s *trace.Set) map[string]uint64 {
+		out := make(map[string]uint64)
+		for _, name := range s.CounterNames() {
+			out[name] = s.Counter(name).Value()
+		}
+		return out
+	}
+	for _, pair := range [][2]ScenarioSpec{{nodeleg, deleg}, {deleg, nodeleg}} {
+		first, second := pair[0], pair[1]
+		fresh, err := Execute(second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := counters(fresh.Metrics)
+
+		ctx := NewTrialContext()
+		if _, err := ExecuteIn(ctx, first); err != nil {
+			t.Fatal(err)
+		}
+		onlyFirst := 0
+		for name := range counters(ctx.core.Met) {
+			if _, ok := want[name]; !ok {
+				onlyFirst++
+			}
+		}
+		if onlyFirst == 0 {
+			t.Fatalf("%s then %s: the first trial took no counter the second lacks; the exit mixes must differ", first.ID, second.ID)
+		}
+		if _, err := ExecuteIn(ctx, second); err != nil {
+			t.Fatal(err)
+		}
+		if got := counters(ctx.core.Met); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s then %s: pooled counters differ from fresh\nfresh:  %v\npooled: %v", first.ID, second.ID, want, got)
+		}
 	}
 }

@@ -401,14 +401,13 @@ func (t *Trial) runNullAsync(ctx *TrialContext, spec ScenarioSpec) error {
 
 	hostCore, rmmCore := hw.CoreID(0), hw.CoreID(1)
 	// The RMM side: a polling loop on the dedicated core that answers
-	// null calls immediately and raises the exit IPI.
-	rmmPickup := func() {
-		eng.After(p.Transport.PickupLatency(), "pickup", func() {
-			if _, ok := mb.TryTake(); ok {
-				mb.Complete("null-return", p.Transport.Prop)
-				mach.SendIPI(rmmCore, hostCore, hw.IPIGuestExit)
-			}
-		})
+	// null calls immediately and raises the exit IPI. Every step of the
+	// round trip is bound once here, not rebuilt per call.
+	pickup := func() {
+		if _, ok := mb.TryTake(); ok {
+			mb.Complete("null-return", p.Transport.Prop)
+			mach.SendIPI(rmmCore, hostCore, hw.IPIGuestExit)
+		}
 	}
 	caller := kern.NewThread("vcpu-null", host.ClassFIFO, hostCore)
 	wakeup := kern.NewThread("wakeup", host.ClassFIFO, hostCore)
@@ -418,23 +417,24 @@ func (t *Trial) runNullAsync(ctx *TrialContext, spec ScenarioSpec) error {
 	post = func() {
 		postedAt = eng.Now()
 		mb.Post("null-call", p.Transport.Prop)
-		rmmPickup()
+		eng.After(p.Transport.PickupLatency(), "pickup", pickup)
+	}
+	// Wake the blocked caller (Fig. 4 step 5); the call returns in its
+	// context.
+	ret := func() {
+		hist.Observe(eng.Now().Sub(postedAt))
+		done++
+		if done < rounds {
+			post()
+		}
+	}
+	scan := func() {
+		if _, ok := mb.TryResponse(); ok {
+			kern.Submit(caller, "return", p.SchedWake, ret)
+		}
 	}
 	kern.RegisterIRQ(hw.IPIGuestExit, func(c hw.CoreID) {
-		kern.Submit(wakeup, "scan", p.SchedWake+p.WakeupScan, func() {
-			if _, ok := mb.TryResponse(); !ok {
-				return
-			}
-			// Wake the blocked caller (Fig. 4 step 5); the call returns
-			// in its context.
-			kern.Submit(caller, "return", p.SchedWake, func() {
-				hist.Observe(eng.Now().Sub(postedAt))
-				done++
-				if done < rounds {
-					post()
-				}
-			})
-		})
+		kern.Submit(wakeup, "scan", p.SchedWake+p.WakeupScan, scan)
 	})
 	post()
 	eng.Run()
@@ -458,24 +458,27 @@ func (t *Trial) runNullSync(ctx *TrialContext, spec ScenarioSpec) error {
 	hist := trace.AcquireHist("null.sync")
 	defer trace.ReleaseHist(hist)
 	done := 0
-	var post func()
+	var start sim.Time
+	var post, pickup, resp func()
 	post = func() {
-		start := eng.Now()
+		start = eng.Now()
 		mb.Post("call", p.Transport.Prop)
-		eng.After(p.Transport.PickupLatency(), "pickup", func() {
-			if _, ok := mb.TryTake(); ok {
-				mb.Complete("ret", p.Transport.Prop)
-				eng.After(p.Transport.PickupLatency(), "resp", func() {
-					if _, ok := mb.TryResponse(); ok {
-						hist.Observe(eng.Now().Sub(start))
-						done++
-						if done < rounds {
-							post()
-						}
-					}
-				})
+		eng.After(p.Transport.PickupLatency(), "pickup", pickup)
+	}
+	pickup = func() {
+		if _, ok := mb.TryTake(); ok {
+			mb.Complete("ret", p.Transport.Prop)
+			eng.After(p.Transport.PickupLatency(), "resp", resp)
+		}
+	}
+	resp = func() {
+		if _, ok := mb.TryResponse(); ok {
+			hist.Observe(eng.Now().Sub(start))
+			done++
+			if done < rounds {
+				post()
 			}
-		})
+		}
 	}
 	post()
 	eng.Run()
@@ -538,7 +541,7 @@ func (t *Trial) runPTChurn(ctx *TrialContext, spec ScenarioSpec) error {
 	mb := rpc.NewMailbox(eng, "rtt")
 	var rpcs uint64
 	var done int
-	var next func()
+	var next, pickup, work, resp func()
 	next = func() {
 		if done >= w.Ops {
 			return
@@ -553,19 +556,21 @@ func (t *Trial) runPTChurn(ctx *TrialContext, spec ScenarioSpec) error {
 		// Synchronous RPC to the monitor on the dedicated core.
 		rpcs++
 		mb.Post("rtt-op", p.Transport.Prop)
-		eng.After(p.Transport.PickupLatency(), "rtt-pickup", func() {
-			if _, ok := mb.TryTake(); !ok {
-				return
-			}
-			eng.After(monitorRTTWork, "rtt-work", func() {
-				mb.Complete("ok", p.Transport.Prop)
-				eng.After(p.Transport.PickupLatency(), "rtt-resp", func() {
-					if _, ok := mb.TryResponse(); ok {
-						next()
-					}
-				})
-			})
-		})
+		eng.After(p.Transport.PickupLatency(), "rtt-pickup", pickup)
+	}
+	pickup = func() {
+		if _, ok := mb.TryTake(); ok {
+			eng.After(monitorRTTWork, "rtt-work", work)
+		}
+	}
+	work = func() {
+		mb.Complete("ok", p.Transport.Prop)
+		eng.After(p.Transport.PickupLatency(), "rtt-resp", resp)
+	}
+	resp = func() {
+		if _, ok := mb.TryResponse(); ok {
+			next()
+		}
 	}
 	next()
 	eng.Run()

@@ -60,8 +60,12 @@ func (o RedisOp) ReplyBytes() int {
 // as EvPacket events tagged with the operation; the external
 // redis-benchmark client model lives with the NIC.
 type Redis struct {
-	dev     DeviceClass
+	dev DeviceClass
+	// pending[head:] are the received, unserved requests. Serving
+	// advances head; the array is rewound once drained (or compacted
+	// when full), so a steady request stream reuses one backing array.
 	pending []Event
+	head    int
 	served  uint64
 	// replying holds the op whose reply must be sent after service;
 	// pendingTagForReply carries the request tag into the reply so the
@@ -93,11 +97,15 @@ func (r *Redis) Next(vcpu int) Action {
 			Tag: r.pendingTagForReply,
 		}}
 	}
-	if len(r.pending) == 0 {
+	if r.Backlog() == 0 {
 		return WFI()
 	}
-	ev := r.pending[0]
-	r.pending = r.pending[1:]
+	ev := r.pending[r.head]
+	r.head++
+	if r.head == len(r.pending) {
+		r.pending = r.pending[:0]
+		r.head = 0
+	}
 	r.replying = RedisOp(ev.Tag >> 24)
 	r.pendingTagForReply = ev.Tag
 	r.inService = true
@@ -108,6 +116,10 @@ func (r *Redis) Next(vcpu int) Action {
 // Deliver implements Program.
 func (r *Redis) Deliver(vcpu int, ev Event) {
 	if ev.Kind == EvPacket {
+		if r.head > 0 && len(r.pending) == cap(r.pending) {
+			r.pending = r.pending[:copy(r.pending, r.pending[r.head:])]
+			r.head = 0
+		}
 		r.pending = append(r.pending, ev)
 	}
 }
@@ -116,7 +128,7 @@ func (r *Redis) Deliver(vcpu int, ev Event) {
 func (r *Redis) Served() uint64 { return r.served }
 
 // Backlog reports queued, unserved requests.
-func (r *Redis) Backlog() int { return len(r.pending) }
+func (r *Redis) Backlog() int { return len(r.pending) - r.head }
 
 // EncodeOpTag packs an operation and a client id into an event tag. The
 // client id occupies the low 24 bits; an out-of-range id would silently

@@ -2,7 +2,6 @@ package host
 
 import (
 	"errors"
-	"fmt"
 
 	"coregap/internal/hw"
 	"coregap/internal/sim"
@@ -90,7 +89,7 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 
 	// The shutdown procedure itself takes time; the final action is
 	// either halting the core or handing it to the monitor.
-	k.eng.After(HotplugCost, fmt.Sprintf("hotplug-off%d", id), func() {
+	k.eng.After(HotplugCost, "hotplug-off", func() {
 		if handoff != nil {
 			k.mach.SetPower(id, hw.DedicatedRealm)
 			handoff()

@@ -35,12 +35,25 @@ func (k *Kernel) handleIRQ(core hw.CoreID, from hw.CoreID, irq hw.IRQ) {
 	if fn == nil {
 		return
 	}
-	k.StealCPU(core, k.irqCost, func() { fn(core) })
+	k.StealCPU(core, k.irqCost, k.irqCalls.Bind(runIRQ, irqCall{fn, core}))
 }
+
+// irqCall is a kernel IRQ handler bound to the core it was raised on.
+type irqCall struct {
+	fn   func(core hw.CoreID)
+	core hw.CoreID
+}
+
+func runIRQ(c irqCall) { c.fn(c.core) }
+
+// noop stands in for a nil steal handler where an event needs a callback.
+func noop() {}
 
 // StealCPU runs fn after cost of IRQ-context work on the given core,
 // preempting (and then resuming) the current thread. This models hardirq
 // processing: it charges the time to the core but not to any thread.
+// fn may be nil; like a Submit callback it should be bound once, not
+// built per interrupt.
 func (k *Kernel) StealCPU(core hw.CoreID, cost sim.Duration, fn func()) {
 	cs, ok := k.cores[core]
 	if !ok {
@@ -53,43 +66,44 @@ func (k *Kernel) StealCPU(core hw.CoreID, cost sim.Duration, fn func()) {
 	if cs.stealing {
 		// Nested IRQ: serialize after the current steal by deferring a
 		// tiny amount; the handler chain remains deterministic.
-		k.eng.After(cost, "irq:nested", func() {
-			if fn != nil {
-				fn()
-			}
-		})
+		if fn == nil {
+			fn = noop
+		}
+		k.eng.After(cost, "irq-nested", fn)
 		return
 	}
 
-	var resume func()
-	if cs.cur != nil {
-		t := cs.cur
+	cs.stealing = true
+	cs.stealFn = fn
+	cs.stolen = nil
+	if t := cs.cur; t != nil {
 		t.rem = exec.Preempt()
 		t.cpuTime += k.eng.Now().Sub(t.sliceStart)
-		cs.stealing = true
-		resume = func() {
-			cs.stealing = false
-			// Resume the interrupted thread directly: it never left
-			// cs.cur, so just restart its executor slice.
-			if cs.cur == t && t.state == Running && t.cur != nil {
-				k.startCurrent(cs)
-			} else {
-				cs.cur = nil
-				k.dispatch(cs)
-			}
-		}
-	} else {
-		cs.stealing = true
-		resume = func() {
-			cs.stealing = false
-			k.dispatch(cs)
-		}
+		cs.stolen = t
 	}
+	k.eng.After(cost, "irq", cs.stealDoneFn)
+}
 
-	k.eng.After(cost, fmt.Sprintf("irq@%d", core), func() {
-		if fn != nil {
-			fn()
-		}
-		resume()
-	})
+// stealDone ends an IRQ steal: it runs the handler, then gives the core
+// back — resuming the interrupted thread directly when it is still
+// cs.cur (it never left, so just restart its executor slice), else
+// dispatching afresh.
+func (cs *coreSched) stealDone() {
+	k := cs.k
+	fn, t := cs.stealFn, cs.stolen
+	cs.stealFn, cs.stolen = nil, nil
+	if fn != nil {
+		fn()
+	}
+	cs.stealing = false
+	if t == nil {
+		k.dispatch(cs)
+		return
+	}
+	if cs.cur == t && t.state == Running && t.cur != nil {
+		k.startCurrent(cs)
+		return
+	}
+	cs.cur = nil
+	k.dispatch(cs)
 }

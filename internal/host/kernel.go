@@ -2,7 +2,6 @@ package host
 
 import (
 	"errors"
-	"fmt"
 
 	"coregap/internal/gic"
 	"coregap/internal/hw"
@@ -36,6 +35,8 @@ type Kernel struct {
 
 	irqHandlers map[hw.IRQ]func(core hw.CoreID)
 	irqCost     sim.Duration
+	// irqCalls recycles the (handler, core) payloads of IRQ steals.
+	irqCalls sim.Thunks[irqCall]
 
 	// hostFootprint is how much per-core microarchitectural state a
 	// scheduled host thread touches — the interference that cools guest
@@ -44,15 +45,24 @@ type Kernel struct {
 }
 
 type coreSched struct {
+	k       *Kernel
 	id      hw.CoreID
 	cur     *Thread
 	fifoQ   []*Thread
 	normQ   []*Thread
 	quantum *sim.Timer
 	// stealing marks an in-progress IRQ steal: the executor belongs to
-	// the IRQ path until it completes.
+	// the IRQ path until it completes. stealFn is the steal's handler
+	// and stolen the thread it interrupted (nil when the core was idle).
 	stealing bool
+	stealFn  func()
+	stolen   *Thread
 	offline  bool
+
+	// sliceDoneFn and stealDoneFn are cs.sliceDone and cs.stealDone,
+	// bound once so the scheduling path allocates nothing.
+	sliceDoneFn func()
+	stealDoneFn func()
 }
 
 // NewKernel boots the host kernel on all of the machine's cores.
@@ -75,8 +85,10 @@ func NewKernel(mach *hw.Machine, dist *gic.Distributor, met *trace.Set) *Kernel 
 }
 
 func (k *Kernel) adoptCore(id hw.CoreID) {
-	cs := &coreSched{id: id}
-	cs.quantum = sim.NewTimer(k.eng, fmt.Sprintf("quantum%d", id), func() {
+	cs := &coreSched{k: k, id: id}
+	cs.sliceDoneFn = cs.sliceDone
+	cs.stealDoneFn = cs.stealDone
+	cs.quantum = sim.NewTimer(k.eng, "quantum", func() {
 		k.quantumExpired(cs)
 	})
 	k.cores[id] = cs
@@ -111,13 +123,16 @@ func (k *Kernel) SetIdlePoll(t *Thread, poll func() (sim.Duration, func())) {
 	t.idlePoll = poll
 }
 
-// Submit queues a work item on t, waking it if blocked.
+// Submit queues a work item on t, waking it if blocked. label names the
+// kind of work ("guest", "exit", "scan", ...) and must be a static
+// string, as for sim.Engine.At; fn should be bound once per owner (or
+// through a sim.Thunks when it carries a payload), not built per item.
 func (k *Kernel) Submit(t *Thread, label string, work sim.Duration, fn func()) {
 	if t.state == Dead {
 		return
 	}
 	k.eng.Count(cSubmits)
-	t.inbox = append(t.inbox, workItem{label: label, work: work, fn: fn})
+	t.push(workItem{label: label, work: work, fn: fn})
 	if t.state == Blocked {
 		k.wake(t)
 	}
@@ -141,8 +156,7 @@ func (k *Kernel) Kill(t *Thread) {
 	default:
 		t.state = Dead
 	}
-	t.inbox = nil
-	t.cur = nil
+	t.dropWork()
 }
 
 func removeThread(q []*Thread, t *Thread) []*Thread {
@@ -222,17 +236,35 @@ func (k *Kernel) preemptCurrent(cs *coreSched, front bool) {
 	t.state = Runnable
 	if t.class == ClassFIFO {
 		if front {
-			cs.fifoQ = append([]*Thread{t}, cs.fifoQ...)
+			cs.fifoQ = pushFront(cs.fifoQ, t)
 		} else {
 			cs.fifoQ = append(cs.fifoQ, t)
 		}
 	} else {
 		if front {
-			cs.normQ = append([]*Thread{t}, cs.normQ...)
+			cs.normQ = pushFront(cs.normQ, t)
 		} else {
 			cs.normQ = append(cs.normQ, t)
 		}
 	}
+}
+
+// pushFront inserts t at the head of q, shifting in place so a run queue
+// reuses its backing array.
+func pushFront(q []*Thread, t *Thread) []*Thread {
+	q = append(q, nil)
+	copy(q[1:], q)
+	q[0] = t
+	return q
+}
+
+// popFront removes and returns the head of q, shifting in place so the
+// run queue's backing array is never walked off and reallocated.
+func popFront(q []*Thread) (*Thread, []*Thread) {
+	t := q[0]
+	copy(q, q[1:])
+	q[len(q)-1] = nil
+	return t, q[:len(q)-1]
 }
 
 func (k *Kernel) quantumExpired(cs *coreSched) {
@@ -251,11 +283,9 @@ func (k *Kernel) dispatch(cs *coreSched) {
 	}
 	var t *Thread
 	if len(cs.fifoQ) > 0 {
-		t = cs.fifoQ[0]
-		cs.fifoQ = cs.fifoQ[1:]
+		t, cs.fifoQ = popFront(cs.fifoQ)
 	} else if len(cs.normQ) > 0 {
-		t = cs.normQ[0]
-		cs.normQ = cs.normQ[1:]
+		t, cs.normQ = popFront(cs.normQ)
 	} else {
 		return
 	}
@@ -289,34 +319,42 @@ func (k *Kernel) dispatch(cs *coreSched) {
 func (k *Kernel) startCurrent(cs *coreSched) {
 	t := cs.cur
 	t.sliceStart = k.eng.Now()
-	k.mach.Core(cs.id).Exec.Start(t.name+":"+t.cur.label, t.rem, 1.0, func() {
-		t.cpuTime += k.eng.Now().Sub(t.sliceStart)
-		cs.quantum.Disarm()
-		item := t.cur
-		t.cur = nil
-		t.rem = 0
-		cs.cur = nil
-		// Completion callback may submit more work, wake threads, etc.
-		if item.fn != nil {
-			item.fn()
-		}
-		if t.state == Running {
-			// Still ours: run its next item or block. A completed FIFO
-			// thread with more work continues at the queue head (it was
-			// never preempted).
-			if t.hasWork() || t.idlePoll != nil {
-				t.state = Runnable
-				if t.class == ClassFIFO {
-					cs.fifoQ = append([]*Thread{t}, cs.fifoQ...)
-				} else {
-					cs.normQ = append(cs.normQ, t)
-				}
+	k.mach.Core(cs.id).Exec.Start(t.cur.label, t.rem, 1.0, cs.sliceDoneFn)
+}
+
+// sliceDone completes cs.cur's current work item. The executor's
+// completion fires only for an unpreempted slice, and every path that
+// replaces cs.cur preempts first, so cs.cur is still the thread whose
+// slice startCurrent began.
+func (cs *coreSched) sliceDone() {
+	k := cs.k
+	t := cs.cur
+	t.cpuTime += k.eng.Now().Sub(t.sliceStart)
+	cs.quantum.Disarm()
+	fn := t.cur.fn
+	t.cur = nil
+	t.rem = 0
+	cs.cur = nil
+	// Completion callback may submit more work, wake threads, etc.
+	if fn != nil {
+		fn()
+	}
+	if t.state == Running {
+		// Still ours: run its next item or block. A completed FIFO
+		// thread with more work continues at the queue head (it was
+		// never preempted).
+		if t.hasWork() || t.idlePoll != nil {
+			t.state = Runnable
+			if t.class == ClassFIFO {
+				cs.fifoQ = pushFront(cs.fifoQ, t)
 			} else {
-				t.state = Blocked
+				cs.normQ = append(cs.normQ, t)
 			}
+		} else {
+			t.state = Blocked
 		}
-		k.dispatch(cs)
-	})
+	}
+	k.dispatch(cs)
 }
 
 // CoreQueueLen reports runnable threads queued on a core.

@@ -111,3 +111,42 @@ func TestFIFOPreemptRequeuesAtFront(t *testing.T) {
 		t.Fatalf("order = %v", order)
 	}
 }
+
+// TestZeroAllocKernelCycle gates the scheduler's per-event path on warm
+// threads: Submit → dispatch → slice completion, a quantum expiry, a
+// FIFO wake that preempts a normal thread and requeues it at the front,
+// a FIFO thread continuing at the queue head, and an IPI stealing a
+// core from an idle-polling thread all allocate nothing once the
+// inboxes and run queues have reached their steady-state arrays.
+func TestZeroAllocKernelCycle(t *testing.T) {
+	eng, m, k := newKernel(t, 2)
+	k.SetQuantum(50 * sim.Microsecond)
+	worker := k.NewThread("worker", ClassNormal, 0)
+	rt := k.NewThread("rt", ClassFIFO, 0)
+	poller := k.NewThread("poller", ClassNormal, 1)
+	var jobs, polls, irqs int
+	job := func() { jobs++ }
+	poll := func() { polls++ }
+	k.SetIdlePoll(poller, func() (sim.Duration, func()) { return 10 * sim.Microsecond, poll })
+	k.Submit(poller, "seed", 1, nil)
+	k.RegisterIRQ(hw.IPIGuestExit, func(hw.CoreID) { irqs++ })
+	cycle := func() {
+		k.Submit(worker, "job", 80*sim.Microsecond, job)
+		k.Submit(worker, "job", 80*sim.Microsecond, job)
+		eng.RunFor(20 * sim.Microsecond)
+		k.Submit(rt, "rt", 5*sim.Microsecond, job)
+		k.Submit(rt, "rt", 5*sim.Microsecond, job)
+		m.SendIPI(0, 1, hw.IPIGuestExit)
+		eng.RunFor(300 * sim.Microsecond)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Errorf("kernel cycle: %.2f allocs/op in steady state, want 0", avg)
+	}
+	if jobs != 4*202 || irqs != 202 || polls == 0 {
+		t.Fatalf("jobs = %d, irqs = %d, polls = %d; want 808, 202, > 0", jobs, irqs, polls)
+	}
+	if worker.ContextSwitches() < 3*202 {
+		t.Fatalf("worker switched in %d times; want the FIFO preemption and quantum requeues", worker.ContextSwitches())
+	}
+}

@@ -78,12 +78,19 @@ type Thread struct {
 	// core is where the thread is running or queued.
 	core hw.CoreID
 
+	// inbox[head:] is the pending work; popping advances head, and the
+	// array is rewound once drained (or compacted when full), so a
+	// steady stream of Submits reuses one backing array.
 	inbox []workItem
-	cur   *workItem
-	rem   sim.Duration
+	head  int
+	// cur is nil or &slot: the item being executed lives in the thread.
+	cur  *workItem
+	slot workItem
+	rem  sim.Duration
 
 	// idlePoll, when set, is invoked instead of blocking: it returns a
-	// slice of poll work and a function to run when the slice completes.
+	// slice of poll work and a function to run when the slice completes
+	// (bound once by the caller, since it is asked for on every poll).
 	idlePoll func() (sim.Duration, func())
 
 	cpuTime    sim.Duration
@@ -127,9 +134,30 @@ func (t *Thread) Core() hw.CoreID { return t.core }
 func (t *Thread) Pin() hw.CoreID { return t.pin }
 
 // QueueLen reports pending work items (excluding the current one).
-func (t *Thread) QueueLen() int { return len(t.inbox) }
+func (t *Thread) QueueLen() int { return len(t.inbox) - t.head }
 
-func (t *Thread) hasWork() bool { return t.cur != nil || len(t.inbox) > 0 }
+func (t *Thread) hasWork() bool { return t.cur != nil || t.QueueLen() > 0 }
+
+// push appends a work item to the inbox, first sliding the pending
+// items down over consumed ones when the array is full.
+func (t *Thread) push(item workItem) {
+	if t.head > 0 && len(t.inbox) == cap(t.inbox) {
+		n := copy(t.inbox, t.inbox[t.head:])
+		clear(t.inbox[n:])
+		t.inbox = t.inbox[:n]
+		t.head = 0
+	}
+	t.inbox = append(t.inbox, item)
+}
+
+// dropWork discards the current and every pending item (thread death).
+func (t *Thread) dropWork() {
+	clear(t.inbox)
+	t.inbox = t.inbox[:0]
+	t.head = 0
+	t.cur = nil
+	t.slot = workItem{}
+}
 
 // takeNext loads the next work item into cur; it reports false when the
 // inbox is empty and no idle poll is configured.
@@ -137,16 +165,22 @@ func (t *Thread) takeNext() bool {
 	if t.cur != nil {
 		return true
 	}
-	if len(t.inbox) > 0 {
-		item := t.inbox[0]
-		t.inbox = t.inbox[1:]
-		t.cur = &item
-		t.rem = item.work
+	if t.QueueLen() > 0 {
+		t.slot = t.inbox[t.head]
+		t.inbox[t.head] = workItem{}
+		t.head++
+		if t.head == len(t.inbox) {
+			t.inbox = t.inbox[:0]
+			t.head = 0
+		}
+		t.cur = &t.slot
+		t.rem = t.slot.work
 		return true
 	}
 	if t.idlePoll != nil {
 		work, fn := t.idlePoll()
-		t.cur = &workItem{label: t.name + ":poll", work: work, fn: fn}
+		t.slot = workItem{label: "poll", work: work, fn: fn}
+		t.cur = &t.slot
 		t.rem = work
 		return true
 	}

@@ -24,13 +24,16 @@ type Executor struct {
 	startedAt sim.Time
 	ev        sim.Event
 	onDone    func()
+	doneFn    func() // x.complete, bound once so schedule allocates nothing
 
 	busySince sim.Time
 	busyTotal sim.Duration
 }
 
 func newExecutor(eng *sim.Engine, core *Core) *Executor {
-	return &Executor{eng: eng, core: core, speed: 1}
+	x := &Executor{eng: eng, core: core, speed: 1}
+	x.doneFn = x.complete
+	return x
 }
 
 // reset idles the executor and zeroes its accounting for a new trial.
@@ -81,6 +84,11 @@ func (x *Executor) Utilization() float64 {
 // factor (1.0 = full speed); onDone fires when the work completes. It
 // panics if the executor is already busy — owners must Preempt first;
 // double-dispatch always indicates a scheduling bug worth failing loudly.
+//
+// label names the kind of context ("guest", "scan", ...) and must be a
+// static string, as for sim.Engine.At; onDone should be bound once per
+// owner, not built per slice. The completion event itself is labelled
+// "exec".
 func (x *Executor) Start(label string, work sim.Duration, speed float64, onDone func()) {
 	if x.running {
 		panic(fmt.Sprintf("hw: core %d executor busy with %q, cannot start %q",
@@ -104,7 +112,7 @@ func (x *Executor) Start(label string, work sim.Duration, speed float64, onDone 
 
 func (x *Executor) schedule() {
 	wall := sim.Duration(float64(x.remaining) / x.speed)
-	x.ev = x.eng.After(wall, "exec:"+x.label, x.complete)
+	x.ev = x.eng.After(wall, "exec", x.doneFn)
 }
 
 func (x *Executor) complete() {

@@ -248,6 +248,9 @@ type Machine struct {
 	ipiLatency      sim.Duration
 	worldSwitchCost sim.Duration
 	freqGHz         float64
+
+	// wires recycles the payloads of interrupts in flight.
+	wires sim.Thunks[wire]
 }
 
 // Config sizes a machine.
@@ -370,11 +373,22 @@ func (m *Machine) SendIPI(from, to CoreID, irq IRQ) {
 	target := m.Core(to)
 	m.eng.Count(cIPISent)
 	m.eng.Trace().Span(sim.TCIRQ, "hw.ipi", int32(to), m.ipiLatency, int64(irq))
-	m.eng.After(m.ipiLatency, fmt.Sprintf("ipi%d->%d", from, to), func() {
-		if target.handler != nil {
-			target.handler(from, irq)
-		}
-	})
+	m.eng.After(m.ipiLatency, "ipi", m.wires.Bind(deliver, wire{target, from, irq}))
+}
+
+// wire is an interrupt in flight to a core: the payload of the delivery
+// event SendIPI and DeliverIRQ schedule.
+type wire struct {
+	target *Core
+	from   CoreID
+	irq    IRQ
+}
+
+// deliver hands an arrived interrupt to the target core's current owner.
+func deliver(w wire) {
+	if w.target.handler != nil {
+		w.target.handler(w.from, w.irq)
+	}
 }
 
 // DeliverIRQ delivers a device interrupt (SPI) to a core immediately
@@ -384,11 +398,7 @@ func (m *Machine) DeliverIRQ(to CoreID, irq IRQ) {
 	target := m.Core(to)
 	m.eng.Count(cIRQSent)
 	m.eng.Trace().Span(sim.TCIRQ, "hw.irq", int32(to), m.ipiLatency, int64(irq))
-	m.eng.After(m.ipiLatency, fmt.Sprintf("irq%d@%d", int(irq), to), func() {
-		if target.handler != nil {
-			target.handler(NoCore, irq)
-		}
-	})
+	m.eng.After(m.ipiLatency, "irq", m.wires.Bind(deliver, wire{target, NoCore, irq}))
 }
 
 // SetPower transitions a core's hotplug state. The transition itself is

@@ -271,3 +271,32 @@ func TestExecutorZeroWork(t *testing.T) {
 		t.Fatal("zero work never completed")
 	}
 }
+
+// TestZeroAllocExecutor gates the executor's per-slice path and the
+// interrupt wires: once warm, a Start/SetSpeed/Preempt/Start/complete
+// cycle and an IPI plus a device IRQ in flight allocate nothing.
+func TestZeroAllocExecutor(t *testing.T) {
+	eng, m := newMachine(t, 2)
+	x := m.Core(0).Exec
+	done, irqs := 0, 0
+	onDone := func() { done++ }
+	m.Core(1).SetIRQHandler(func(CoreID, IRQ) { irqs++ })
+	cycle := func() {
+		x.Start("job", 1000, 1.0, onDone)
+		eng.RunFor(100)
+		x.SetSpeed(0.5)
+		eng.RunFor(100)
+		rem := x.Preempt()
+		x.Start("job", rem, 1.0, onDone)
+		m.SendIPI(0, 1, IPIGuestExit)
+		m.DeliverIRQ(1, IRQ(40))
+		eng.Run()
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Errorf("executor cycle: %.2f allocs/op in steady state, want 0", avg)
+	}
+	if done != 1002 || irqs != 2*1002 {
+		t.Fatalf("completions = %d, irqs = %d; want 1002 and 2004", done, irqs)
+	}
+}

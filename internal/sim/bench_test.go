@@ -188,3 +188,42 @@ func TestZeroAllocDeepQueue(t *testing.T) {
 		})
 	})
 }
+
+// TestZeroAllocTimer gates the timer and ticker paths every periodic
+// model uses: Arm/ArmAt/Disarm re-bind nothing, and an expiry or a tick
+// fires the callback bound at construction.
+func TestZeroAllocTimer(t *testing.T) {
+	allocGateEngines(func(name string, e *Engine) {
+		fn := func() {}
+		tm := NewTimer(e, "gate", fn)
+		zeroAllocs(t, "timer arm+fire/"+name, func() {
+			tm.Arm(1)
+			e.Step()
+		})
+		zeroAllocs(t, "timer armat+rearm+disarm/"+name, func() {
+			tm.ArmAt(e.Now().Add(5))
+			tm.Arm(3)
+			tm.Disarm()
+		})
+		tk := NewTicker(e, "gate-tick", 7, fn)
+		tk.Start()
+		zeroAllocs(t, "ticker tick/"+name, func() { e.Step() })
+		tk.Stop()
+	})
+}
+
+// TestThunksRecycle: a bound callback runs its function once with the
+// payload it was bound with, and its node is reused by the next Bind.
+func TestThunksRecycle(t *testing.T) {
+	var l Thunks[int]
+	var got []int
+	record := func(v int) { got = append(got, v) }
+	a, b := l.Bind(record, 1), l.Bind(record, 2)
+	b()
+	a()
+	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
+		t.Fatalf("thunks ran %v, want [2 1]", got)
+	}
+	got = got[:0]
+	zeroAllocs(t, "thunk bind+run", func() { l.Bind(record, 3)() })
+}

@@ -6,34 +6,38 @@ import "fmt"
 // cancel-and-reschedule pattern used pervasively by periodic hardware
 // timers and watchdogs in the models.
 type Timer struct {
-	eng   *Engine
-	ev    Event
-	label string
-	fn    func()
+	eng    *Engine
+	ev     Event
+	label  string
+	fn     func()
+	fireFn func() // t.fire, bound once so Arm allocates nothing
 }
 
 // NewTimer returns an unarmed timer that will invoke fn when it fires.
+// The label is the expiry event's static name (see At): one label per
+// kind of timer, never one built per instance.
 func NewTimer(eng *Engine, label string, fn func()) *Timer {
-	return &Timer{eng: eng, label: label, fn: fn}
+	t := &Timer{eng: eng, label: label, fn: fn}
+	t.fireFn = t.fire
+	return t
+}
+
+func (t *Timer) fire() {
+	t.ev = Event{}
+	t.fn()
 }
 
 // Arm (re)schedules the timer to fire after d. Any previously pending
 // expiry is cancelled.
 func (t *Timer) Arm(d Duration) {
 	t.Disarm()
-	t.ev = t.eng.After(d, t.label, func() {
-		t.ev = Event{}
-		t.fn()
-	})
+	t.ev = t.eng.After(d, t.label, t.fireFn)
 }
 
 // ArmAt (re)schedules the timer to fire at absolute time at.
 func (t *Timer) ArmAt(at Time) {
 	t.Disarm()
-	t.ev = t.eng.At(at, t.label, func() {
-		t.ev = Event{}
-		t.fn()
-	})
+	t.ev = t.eng.At(at, t.label, t.fireFn)
 }
 
 // Disarm cancels a pending expiry, if any.
@@ -63,14 +67,18 @@ type Ticker struct {
 	next   Time
 	ev     Event
 	fn     func()
+	tickFn func() // t.tick, bound once so each tick allocates nothing
 }
 
-// NewTicker returns a stopped ticker.
+// NewTicker returns a stopped ticker. Like NewTimer's, the label is a
+// static event name.
 func NewTicker(eng *Engine, label string, period Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: ticker %q with period %v", label, period))
 	}
-	return &Ticker{eng: eng, label: label, period: period, fn: fn}
+	t := &Ticker{eng: eng, label: label, period: period, fn: fn}
+	t.tickFn = t.tick
+	return t
 }
 
 // Start begins ticking. The first tick fires one period from now.
@@ -81,11 +89,13 @@ func (t *Ticker) Start() {
 }
 
 func (t *Ticker) schedule() {
-	t.ev = t.eng.At(t.next, t.label, func() {
-		t.next = t.next.Add(t.period)
-		t.schedule()
-		t.fn()
-	})
+	t.ev = t.eng.At(t.next, t.label, t.tickFn)
+}
+
+func (t *Ticker) tick() {
+	t.next = t.next.Add(t.period)
+	t.schedule()
+	t.fn()
 }
 
 // Stop cancels future ticks.

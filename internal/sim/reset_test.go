@@ -33,7 +33,7 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 0xfeedface} {
 		want := driveEngine(NewEngine(seed))
 		reused := NewEngine(99)
-		driveEngine(reused)  // dirty it with a different seed
+		driveEngine(reused) // dirty it with a different seed
 		reused.Reset(seed)
 		if got := driveEngine(reused); !equalU64(got, want) {
 			t.Errorf("seed %d: reset engine diverges from fresh\nfresh: %v\nreset: %v", seed, want, got)

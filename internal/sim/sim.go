@@ -215,6 +215,14 @@ func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a modelling bug.
+//
+// The label names the kind of event, not the instance: it must be a
+// static string (a constant or a label held by the owner), never one
+// built per call with fmt or concatenation — the tracer records it as
+// the scheduled event's detail, and the per-event path must not
+// allocate (see tracer.go). Likewise fn should be bound once per owner
+// (a method value stored in a field, or a Thunks binding when it
+// carries a payload) rather than a closure built per event.
 func (e *Engine) At(t Time, label string, fn func()) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, e.now))
@@ -233,7 +241,7 @@ func (e *Engine) At(t Time, label string, fn func()) Event {
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d is clamped
-// to zero.
+// to zero. label and fn follow At's rules.
 func (e *Engine) After(d Duration, label string, fn func()) Event {
 	if d < 0 {
 		d = 0

@@ -15,6 +15,12 @@ package sim
 // struct-held labels); emit sites must never build a name with fmt or
 // concatenation, or the "allocation-free" half of the contract breaks.
 // Anything variable goes in Arg or Lane.
+//
+// The rule extends to every label that reaches the tracer as a Det:
+// Engine.At/After labels, hw.Executor.Start labels, host.Kernel.Submit
+// labels and NewTimer/NewTicker labels are static names of the kind of
+// event ("exec", "guest", "poll", "ipi", "irq", "exit"), never strings
+// built per event or per instance.
 
 // TraceCat classifies trace events by the subsystem that emitted them.
 // Categories become Perfetto track groups on export.

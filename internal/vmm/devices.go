@@ -34,7 +34,7 @@ func (d *BlkDevice) Submit(vcpu int, req guest.IORequest) {
 	if !d.vq.Push(vcpu, req) {
 		// Ring full: the driver retries after the device makes progress.
 		v.count("vmm.blk.ring_full")
-		v.eng.After(10*sim.Microsecond, "blk-ring-retry", func() { d.Submit(vcpu, req) })
+		v.eng.After(10*sim.Microsecond, "blk-ring-retry", v.bind(blkRetry, devCall{vcpu: vcpu, req: req}))
 		return
 	}
 	d.requests++
@@ -47,23 +47,35 @@ func (d *BlkDevice) Submit(vcpu int, req guest.IORequest) {
 		// Writes land in the device's write cache: lower access latency.
 		media = media * 7 / 10
 	}
-	v.k.Submit(v.ioThread, "blk-emul", emul, func() {
-		qv, qreq, ok := d.vq.Pop()
-		if !ok {
-			return
-		}
-		v.eng.After(media, "blk-media", func() {
-			// Completion processing back on the I/O thread, then the
-			// interrupt to the guest.
-			v.k.Submit(v.ioThread, "blk-complete", sim.Microsecond, func() {
-				d.vq.Complete()
-				d.completed++
-				v.Inject(qv, guest.Event{
-					Kind: guest.EvIOComplete, Dev: guest.VirtioBlk,
-					Bytes: qreq.Bytes, Tag: qreq.Tag,
-				})
-			})
-		})
+	v.k.Submit(v.ioThread, "blk-emul", emul, v.bind(blkEmulated, devCall{delay: media}))
+}
+
+func blkRetry(c devCall) { c.v.Blk.Submit(c.vcpu, c.req) }
+
+// blkEmulated takes the next request off the ring once its emulation
+// ran, and starts its media access (c.delay).
+func blkEmulated(c devCall) {
+	v := c.v
+	qv, qreq, ok := v.Blk.vq.Pop()
+	if !ok {
+		return
+	}
+	v.eng.After(c.delay, "blk-media", v.bind(blkMediaDone, devCall{vcpu: qv, req: qreq}))
+}
+
+// blkMediaDone runs completion processing back on the I/O thread, then
+// the interrupt to the guest.
+func blkMediaDone(c devCall) {
+	c.v.k.Submit(c.v.ioThread, "blk-complete", sim.Microsecond, c.v.bind(blkCompleted, c))
+}
+
+func blkCompleted(c devCall) {
+	d := c.v.Blk
+	d.vq.Complete()
+	d.completed++
+	c.v.Inject(c.vcpu, guest.Event{
+		Kind: guest.EvIOComplete, Dev: guest.VirtioBlk,
+		Bytes: c.req.Bytes, Tag: c.req.Tag,
 	})
 }
 
@@ -110,7 +122,7 @@ func (d *NetDevice) Submit(vcpu int, req guest.IORequest) {
 	v := d.vmm
 	if !d.txq.Push(vcpu, req) {
 		v.count("vmm.net.ring_full")
-		v.eng.After(10*sim.Microsecond, "net-ring-retry", func() { d.Submit(vcpu, req) })
+		v.eng.After(10*sim.Microsecond, "net-ring-retry", v.bind(netRetry, devCall{vcpu: vcpu, req: req}))
 		return
 	}
 	pkts := d.packets(req.Bytes)
@@ -120,20 +132,29 @@ func (d *NetDevice) Submit(vcpu int, req guest.IORequest) {
 
 	work := sim.Duration(pkts) * v.costs.NetPerPacket
 	wire := v.costs.WireLatency + sim.Duration(v.costs.WireNsPerByte*float64(req.Bytes))
-	v.k.Submit(v.ioThread, "net-tx", work, func() {
-		if _, _, ok := d.txq.Pop(); ok {
-			d.txq.Complete()
-		}
-		// The vring TX-completion interrupt: the guest must reclaim its
-		// descriptors. (SR-IOV has no such host-injected interrupt; this
-		// is part of why emulated I/O is core gapping's worst case.)
-		v.Inject(vcpu, guest.Event{Kind: guest.EvIOComplete, Dev: guest.VirtioNet, Bytes: req.Bytes, Tag: req.Tag})
-		v.eng.After(wire, "net-wire", func() {
-			if d.peer != nil {
-				d.peer(req.Bytes, req.Tag)
-			}
-		})
-	})
+	v.k.Submit(v.ioThread, "net-tx", work, v.bind(netTxDone, devCall{vcpu: vcpu, req: req, delay: wire}))
+}
+
+func netRetry(c devCall) { c.v.Net.Submit(c.vcpu, c.req) }
+
+// netTxDone completes a transmit's emulation: the guest gets its
+// TX-completion interrupt and the data leaves on the wire (c.delay).
+func netTxDone(c devCall) {
+	v, d := c.v, c.v.Net
+	if _, _, ok := d.txq.Pop(); ok {
+		d.txq.Complete()
+	}
+	// The vring TX-completion interrupt: the guest must reclaim its
+	// descriptors. (SR-IOV has no such host-injected interrupt; this
+	// is part of why emulated I/O is core gapping's worst case.)
+	v.Inject(c.vcpu, guest.Event{Kind: guest.EvIOComplete, Dev: guest.VirtioNet, Bytes: c.req.Bytes, Tag: c.req.Tag})
+	v.eng.After(c.delay, "net-wire", v.bind(netWireDone, c))
+}
+
+func netWireDone(c devCall) {
+	if d := c.v.Net; d.peer != nil {
+		d.peer(c.req.Bytes, c.req.Tag)
+	}
 }
 
 // DeliverToGuest is the RX path: the peer's data arrives at the host NIC,
@@ -147,9 +168,11 @@ func (d *NetDevice) DeliverToGuest(vcpu, bytes, tag int) {
 	v.count("vmm.net.rx")
 
 	work := sim.Duration(pkts) * v.costs.NetPerPacket
-	v.k.Submit(v.ioThread, "net-rx", work, func() {
-		v.Inject(vcpu, guest.Event{Kind: guest.EvPacket, Dev: guest.VirtioNet, Bytes: bytes, Tag: tag})
-	})
+	v.k.Submit(v.ioThread, "net-rx", work, v.bind(netRxDone, devCall{vcpu: vcpu, bytes: bytes, tag: tag}))
+}
+
+func netRxDone(c devCall) {
+	c.v.Inject(c.vcpu, guest.Event{Kind: guest.EvPacket, Dev: guest.VirtioNet, Bytes: c.bytes, Tag: c.tag})
 }
 
 // TxPackets reports transmitted packet count.
@@ -181,11 +204,13 @@ func (d *VFDevice) Submit(vcpu int, req guest.IORequest) {
 	v.count("vmm.vf.tx")
 	wire := v.costs.VFDMALatency + v.costs.WireLatency +
 		sim.Duration(v.costs.WireNsPerByte*float64(req.Bytes))
-	v.eng.After(wire, "vf-wire", func() {
-		if d.peer != nil {
-			d.peer(req.Bytes, req.Tag)
-		}
-	})
+	v.eng.After(wire, "vf-wire", v.bind(vfWireDone, devCall{req: req}))
+}
+
+func vfWireDone(c devCall) {
+	if d := c.v.VF; d.peer != nil {
+		d.peer(c.req.Bytes, c.req.Tag)
+	}
 }
 
 // DeliverToGuest is the RX path: DMA into guest memory, then the
@@ -196,9 +221,11 @@ func (d *VFDevice) DeliverToGuest(vcpu, bytes, tag int) {
 	v := d.vmm
 	d.rxBytes += uint64(bytes)
 	v.count("vmm.vf.rx")
-	v.eng.After(v.costs.VFDMALatency, "vf-dma", func() {
-		v.Inject(vcpu, guest.Event{Kind: guest.EvPacket, Dev: guest.SRIOVNet, Bytes: bytes, Tag: tag})
-	})
+	v.eng.After(v.costs.VFDMALatency, "vf-dma", v.bind(vfDMADone, devCall{vcpu: vcpu, bytes: bytes, tag: tag}))
+}
+
+func vfDMADone(c devCall) {
+	c.v.Inject(c.vcpu, guest.Event{Kind: guest.EvPacket, Dev: guest.SRIOVNet, Bytes: c.bytes, Tag: c.tag})
 }
 
 // TxBytes reports transmitted bytes.

@@ -19,6 +19,20 @@ type Peer struct {
 	sendToGuest func(vcpu, bytes, tag int)
 	wire        sim.Duration
 	wireNsPerB  float64
+	// sends recycles the payloads of messages on the wire.
+	sends sim.Thunks[peerMsg]
+}
+
+// peerMsg is a peer→guest message on the wire.
+type peerMsg struct {
+	p                *Peer
+	vcpu, bytes, tag int
+}
+
+func peerArrived(m peerMsg) {
+	if m.p.sendToGuest != nil {
+		m.p.sendToGuest(m.vcpu, m.bytes, m.tag)
+	}
 }
 
 // NewPeer builds a peer with the same wire characteristics as the device
@@ -38,11 +52,7 @@ func (p *Peer) wireDelay(bytes int) sim.Duration {
 // Send transmits bytes to the guest vCPU after wire latency.
 func (p *Peer) Send(vcpu, bytes, tag int) {
 	d := p.wireDelay(bytes)
-	p.eng.After(d, "peer-wire", func() {
-		if p.sendToGuest != nil {
-			p.sendToGuest(vcpu, bytes, tag)
-		}
-	})
+	p.eng.After(d, "peer-wire", p.sends.Bind(peerArrived, peerMsg{p, vcpu, bytes, tag}))
 }
 
 // PingPong runs a NetPIPE-style closed loop: send a message, wait for the

@@ -70,6 +70,9 @@ type VMM struct {
 
 	inject InjectFunc
 
+	// calls recycles the payloads of device continuations in flight.
+	calls sim.Thunks[devCall]
+
 	Blk *BlkDevice
 	Net *NetDevice
 	VF  *VFDevice
@@ -119,6 +122,24 @@ func (v *VMM) Submit(vcpu int, req guest.IORequest) {
 	case guest.SRIOVNet:
 		v.VF.Submit(vcpu, req)
 	}
+}
+
+// devCall is the payload of a device continuation in flight: the VMM,
+// the guest vCPU served, the request (TX and block paths) or the
+// delivered bytes and tag (RX paths), and the media or wire time still
+// to elapse.
+type devCall struct {
+	v          *VMM
+	vcpu       int
+	req        guest.IORequest
+	bytes, tag int
+	delay      sim.Duration
+}
+
+// bind returns a callback running fn(c) for this VMM (see sim.Thunks).
+func (v *VMM) bind(fn func(devCall), c devCall) func() {
+	c.v = v
+	return v.calls.Bind(fn, c)
 }
 
 func (v *VMM) count(name string) {

@@ -339,10 +339,12 @@ PYEOF
 # path must stay allocation-free once its pages are faulted in, the
 # open-loop generator's steady state (arrivals, delivery, response
 # matching, Sent/Backlog probes) must stay allocation-free at 500 krps,
-# and a pooled trial must allocate at least 5x fewer bytes than a
-# fresh one.
+# the executor, timer and host-scheduler cycles must stay
+# allocation-free, a pooled trial must allocate at least 5x fewer bytes
+# than a fresh one, and a pooled legacy trial twice as long must
+# allocate no more than a short one.
 go test -run 'TestZeroAlloc|TestEngineResetZeroAlloc' -count=1 ./internal/sim >/dev/null
 go test -run 'TestRecorderZeroAlloc|TestWindowedZeroAlloc|TestHistReset' -count=1 ./internal/trace >/dev/null
-go test -run 'TestZeroAllocOpenLoad' -count=1 ./internal/vmm >/dev/null
-go test -run 'TestTrialAllocs' -count=1 ./internal/exp >/dev/null
+go test -run 'TestZeroAlloc' -count=1 ./internal/vmm ./internal/hw ./internal/host >/dev/null
+go test -run 'TestTrialAllocs|TestSteadyStateTrialAllocs' -count=1 ./internal/exp >/dev/null
 echo "bench: zero-alloc and pooled-trial allocation gates pass"
