@@ -65,6 +65,33 @@ func (p Primitive) SampleCore(m *hw.Machine, core hw.CoreID, attacker uarch.Doma
 	return out
 }
 
+// Leaks reports how many secret-tagged entries of victim the primitive
+// observes from the given core: exactly len(LeakedFrom(SampleCore(m,
+// core, attacker), victim)), counted in place. SampleCore's filters
+// reduce to one trust check for the victim and, for the LLC, one
+// LLCObservable check; what remains is a sum of SecretCounts, which
+// allocates nothing and does not materialize plain deferred fills.
+func (p Primitive) Leaks(m *hw.Machine, core hw.CoreID, attacker, victim uarch.DomainID) int {
+	if victim == uarch.DomainNone || victim.Trusts(attacker) {
+		return 0
+	}
+	n := 0
+	cs := m.Core(core).Uarch
+	for _, k := range p.Vuln.Structures {
+		switch {
+		case !k.Shared():
+			n += cs.Buffer(k).SecretCount(victim)
+		case k == uarch.Staging:
+			n += m.Shared().Staging().SecretCount(victim)
+		case k == uarch.LLC:
+			if m.Shared().LLCObservable(victim, attacker) {
+				n += m.Shared().LLC().SecretCount(victim)
+			}
+		}
+	}
+	return n
+}
+
 // LeakedFrom filters samples to secret-bearing residue of one victim.
 func LeakedFrom(samples []Sample, victim uarch.DomainID) []Sample {
 	var out []Sample

@@ -151,3 +151,96 @@ func TestBatteryString(t *testing.T) {
 		t.Fatal("empty battery summary")
 	}
 }
+
+// referenceAttempt is Attempt's slice-based reader: the full sample set,
+// filtered to the victim's secrets, zeroed when the catalogue rules the
+// placement out.
+func referenceAttempt(h *Harness, v vulncat.Vuln, sched Scheduling) Outcome {
+	core, placement := h.stage(sched)
+	leaked := LeakedFrom(Primitive{Vuln: v}.SampleCore(h.mach, core, h.attacker), h.victim)
+	if !vulncat.Exploitable(v, placement) {
+		leaked = nil
+	}
+	return Outcome{Vuln: v, Placement: placement, Leaked: len(leaked) > 0, Samples: len(leaked)}
+}
+
+// referenceBattery is RunBattery over referenceAttempt.
+func referenceBattery(h *Harness, sched Scheduling) []Outcome {
+	var out []Outcome
+	for _, v := range vulncat.Catalogue() {
+		h.scrub()
+		out = append(out, referenceAttempt(h, v, sched))
+	}
+	return out
+}
+
+var schedulings = []Scheduling{SharedTimeSliced, SharedTimeSlicedNoFlush, CoreGappedPlacement}
+
+// TestLeaksMatchSamples pins the in-place count to the slice-based
+// readers: for every catalogued vulnerability, scheduling, LLC
+// partitioning mode and seed, Leaks equals the length of the victim's
+// secret samples — counted first over deferred fills and again after
+// SampleCore has materialized them — and RunBattery's outcomes equal
+// the reference battery's.
+func TestLeaksMatchSamples(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		for _, part := range []bool{false, true} {
+			for _, sched := range schedulings {
+				// No flush between attempts: state accumulates, so the
+				// counts run over materialized base entries under fresh
+				// deferred runs as well as over fresh runs alone.
+				h := NewHarness(seed, 2, part)
+				for _, v := range vulncat.Catalogue() {
+					core, _ := h.stage(sched)
+					prim := Primitive{Vuln: v}
+					lazy := prim.Leaks(h.mach, core, h.attacker, h.victim)
+					want := len(LeakedFrom(prim.SampleCore(h.mach, core, h.attacker), h.victim))
+					eager := prim.Leaks(h.mach, core, h.attacker, h.victim)
+					if lazy != want || eager != want {
+						t.Fatalf("seed %d partition %v %v %s: Leaks %d before and %d after materializing, samples %d",
+							seed, part, sched, v.Name, lazy, eager, want)
+					}
+					if got := prim.Leaks(h.mach, core, h.victim, h.victim); got != 0 {
+						t.Fatalf("%s: victim leaks %d entries to itself", v.Name, got)
+					}
+				}
+
+				got := NewHarness(seed, 2, part).RunBattery(sched).Outcomes
+				want := referenceBattery(NewHarness(seed, 2, part), sched)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d: %d outcomes, reference %d", seed, len(got), len(want))
+				}
+				for i := range want {
+					g, w := got[i], want[i]
+					if g.Vuln.Name != w.Vuln.Name || g.Placement != w.Placement || g.Leaked != w.Leaked || g.Samples != w.Samples {
+						t.Fatalf("seed %d partition %v %v %s: outcome {%v %v %d}, reference {%v %v %d}",
+							seed, part, sched, w.Vuln.Name, g.Placement, g.Leaked, g.Samples, w.Placement, w.Leaked, w.Samples)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestZeroAllocAttempt gates the battery's hot path: once warmed, an
+// attempt allocates nothing under any scheduling. The warm-up attempts
+// every catalogued vulnerability once, which grows each buffer's entries
+// and run slices to their working size and publishes every jump length
+// the attempts replay to the process-wide memo.
+func TestZeroAllocAttempt(t *testing.T) {
+	cat := vulncat.Catalogue()
+	for _, sched := range schedulings {
+		h := NewHarness(1, 2, false)
+		i := 0
+		attempt := func() {
+			h.Attempt(cat[i%len(cat)], sched)
+			i++
+		}
+		for range cat {
+			attempt()
+		}
+		if avg := testing.AllocsPerRun(10*len(cat), attempt); avg != 0 {
+			t.Fatalf("%v: Attempt allocates %.2f times per call, want 0", sched, avg)
+		}
+	}
+}

@@ -45,6 +45,7 @@ type Harness struct {
 	victim   uarch.DomainID
 	attacker uarch.DomainID
 	src      *sim.Source
+	costs    uarch.FlushCosts // resolved once; read by every flush
 }
 
 // NewHarness builds a two-domain harness on a fresh machine.
@@ -71,6 +72,7 @@ func NewHarnessOn(eng *sim.Engine, mach *hw.Machine, partitionLLC bool) *Harness
 		victim:   uarch.Guest(0),
 		attacker: uarch.Guest(1),
 		src:      eng.Source("attack"),
+		costs:    uarch.DefaultFlushCosts(),
 	}
 }
 
@@ -95,16 +97,31 @@ func (h *Harness) runVictim(core hw.CoreID) {
 // (which cover the MDS-class buffers but not, e.g., L1D or TLBs — §2.1's
 // "often applied only retroactively" and partial).
 func (h *Harness) monitorSwitch(core hw.CoreID) {
-	h.mach.Core(core).FlushMitigations(uarch.DefaultFlushCosts())
+	h.mach.Core(core).FlushMitigations(h.costs)
 	h.mach.Core(core).RecordExecution(uarch.DomainMonitor, 0.02, 0)
 }
 
 // Attempt runs one attacker/victim round under the given scheduling for
-// the given vulnerability and reports the outcome.
+// the given vulnerability and reports the outcome. It counts the leaked
+// secrets in place (Primitive.Leaks) and, once warm, allocates nothing.
 func (h *Harness) Attempt(v vulncat.Vuln, sched Scheduling) Outcome {
-	prim := Primitive{Vuln: v}
-	victimCore, attackerCore := hw.CoreID(0), hw.CoreID(0)
-	placement := vulncat.PlacedSameThread
+	attackerCore, placement := h.stage(sched)
+	n := 0
+	// Architectural reach check: the primitive must also be plausible at
+	// this placement per the catalogue (e.g. an SMT-only attack cannot
+	// fire cross-core even if some residue is visible). Sampling has no
+	// side effects, so an unreachable primitive need not sample at all.
+	if vulncat.Exploitable(v, placement) {
+		n = Primitive{Vuln: v}.Leaks(h.mach, attackerCore, h.attacker, h.victim)
+	}
+	return Outcome{Vuln: v, Placement: placement, Leaked: n > 0, Samples: n}
+}
+
+// stage runs the victim and the context switch that precede the
+// attacker's primitive under sched, and reports where the attacker runs.
+func (h *Harness) stage(sched Scheduling) (attackerCore hw.CoreID, placement vulncat.Placement) {
+	victimCore := hw.CoreID(0)
+	placement = vulncat.PlacedSameThread
 	if sched == CoreGappedPlacement {
 		attackerCore = 1
 		placement = vulncat.PlacedOtherCore
@@ -125,30 +142,26 @@ func (h *Harness) Attempt(v vulncat.Vuln, sched Scheduling) Outcome {
 		// the victim's core. Nothing to flush, nothing to race.
 	}
 
-	// The attacker executes its primitive wherever it is placed.
-	samples := prim.SampleCore(h.mach, attackerCore, h.attacker)
-	leaked := LeakedFrom(samples, h.victim)
-
-	// Architectural reach check: the primitive must also be plausible at
-	// this placement per the catalogue (e.g. an SMT-only attack cannot
-	// fire cross-core even if some residue is visible).
-	if !vulncat.Exploitable(v, placement) {
-		leaked = nil
-	}
-	return Outcome{Vuln: v, Placement: placement, Leaked: len(leaked) > 0, Samples: len(leaked)}
+	return attackerCore, placement
 }
 
 // RunBattery attempts every catalogued vulnerability under a scheduling.
 func (h *Harness) RunBattery(sched Scheduling) BatteryResult {
-	res := BatteryResult{Config: sched.String()}
-	for _, v := range vulncat.Catalogue() {
-		// Fresh machine state per attempt so attempts are independent.
-		for _, c := range h.mach.Cores() {
-			c.FlushAll(uarch.DefaultFlushCosts())
-		}
-		h.mach.Shared().Staging().Flush()
-		h.mach.Shared().LLC().Flush()
+	cat := vulncat.Catalogue()
+	res := BatteryResult{Config: sched.String(), Outcomes: make([]Outcome, 0, len(cat))}
+	for _, v := range cat {
+		h.scrub()
 		res.Outcomes = append(res.Outcomes, h.Attempt(v, sched))
 	}
 	return res
+}
+
+// scrub flushes every per-core and shared structure, giving each
+// battery attempt fresh machine state so attempts are independent.
+func (h *Harness) scrub() {
+	for _, c := range h.mach.Cores() {
+		c.FlushAll(h.costs)
+	}
+	h.mach.Shared().Staging().Flush()
+	h.mach.Shared().LLC().Flush()
 }

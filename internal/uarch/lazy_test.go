@@ -31,6 +31,39 @@ func eagerTouch(bufs *[sharedKindsStart]*Buffer, d DomainID, footprint, secretFr
 	}
 }
 
+// eagerTouchShared is the reference LLC fill TouchShared defers: one
+// Insert per line, each drawing its tag at fill time.
+func eagerTouchShared(ss *SharedState, d DomainID, footprint float64, usesStaging bool, src *sim.Source) (evicted int) {
+	if footprint > 1 {
+		footprint = 1
+	}
+	n := int(footprint * float64(ss.llc.Cap()) / float64(ss.llcWays))
+	if free := ss.llc.Cap() - ss.llc.Len(); n > free {
+		evicted = n - free
+	}
+	for i := 0; i < n; i++ {
+		ss.llc.Insert(Entry{Domain: d, Tag: src.Uint64()})
+	}
+	if usesStaging {
+		if ss.staging.Len() == ss.staging.Cap() {
+			evicted++
+		}
+		ss.staging.Insert(Entry{Domain: d, Secret: true, Tag: src.Uint64()})
+	}
+	return evicted
+}
+
+// scanSecrets counts d's secret-tagged entries entry by entry.
+func scanSecrets(entries []Entry, d DomainID) int {
+	n := 0
+	for _, e := range entries {
+		if e.Domain == d && e.Secret {
+			n++
+		}
+	}
+	return n
+}
+
 func newEagerBufs() *[sharedKindsStart]*Buffer {
 	var bufs [sharedKindsStart]*Buffer
 	for k := range bufs {
@@ -53,10 +86,12 @@ func sameEntries(t *testing.T, what string, got, want []Entry) {
 
 // TestLazyMatchesEagerProperty drives two cores and the shared state,
 // all on one tag stream, through a seeded random schedule of Touch,
-// TouchShared, Residue, FlushDomain, Insert and Flush, against a
-// reference that draws every entry at fill time. Deferred fills and
-// deferred skips must be invisible: the same entries, Len and
-// CountDomain after every step, and the same next stream draw.
+// TouchShared, Residue, SecretCount, FlushDomain, Insert and Flush,
+// against a reference that draws every entry at fill time — per-core
+// fills and LLC fills alike. Deferred fills and deferred skips must be
+// invisible: the same entries, Len and CountDomain after every step, the
+// same SecretCount and Residue whenever they are read, and the same next
+// stream draw.
 func TestLazyMatchesEagerProperty(t *testing.T) {
 	domains := []DomainID{DomainHost, DomainMonitor, Guest(0), Guest(1)}
 	footprints := []float64{0, 0.001, 0.02, 0.08, 0.3, 0.7, 1, 1.2}
@@ -71,11 +106,14 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 		eager := []*[sharedKindsStart]*Buffer{newEagerBufs(), newEagerBufs()}
 		lazyShared, eagerShared := NewSharedState(8192, 16), NewSharedState(8192, 16)
 		pick := func() DomainID { return domains[sched.Intn(len(domains))] }
-		for step := 0; step < 120; step++ {
+		sharedPairs := func() [2][2]*Buffer {
+			return [2][2]*Buffer{{lazyShared.llc, eagerShared.llc}, {lazyShared.staging, eagerShared.staging}}
+		}
+		for step := 0; step < 160; step++ {
 			c := sched.Intn(2)
 			k := StructKind(sched.Intn(int(sharedKindsStart)))
 			lb, eb := lazy[c].bufs[k], eager[c][k]
-			switch op := sched.Intn(10); {
+			switch op := sched.Intn(13); {
 			case op < 4:
 				d, fp := pick(), footprints[sched.Intn(len(footprints))]
 				frac := 0.0
@@ -84,29 +122,53 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 				}
 				lazy[c].Touch(d, fp, frac, lazySrc)
 				eagerTouch(eager[c], d, fp, frac, eagerSrc)
-			case op == 4:
-				d, fp, staging := pick(), 0.05*sched.Float64(), sched.Intn(2) == 0
+			case op < 6:
+				d, fp, staging := pick(), 0.3*sched.Float64(), sched.Intn(2) == 0
 				if le, ee := lazyShared.TouchShared(d, fp, staging, lazySrc),
-					eagerShared.TouchShared(d, fp, staging, eagerSrc); le != ee {
+					eagerTouchShared(eagerShared, d, fp, staging, eagerSrc); le != ee {
 					t.Fatalf("seed %d step %d: TouchShared evicted %d, eager %d", seed, step, le, ee)
 				}
-			case op == 5:
+			case op == 6:
 				r := pick()
 				sameEntries(t, "Residue", lb.Residue(r), eb.Residue(r))
-			case op == 6:
+			case op == 7:
 				d := pick()
 				lb.FlushDomain(d)
 				eb.FlushDomain(d)
-			case op == 7:
-				d := pick()
-				le := lb.Insert(Entry{Domain: d, Tag: lazySrc.Uint64()})
-				ee := eb.Insert(Entry{Domain: d, Tag: eagerSrc.Uint64()})
+			case op == 8:
+				// Secret base entries under later plain runs exercise
+				// SecretCount's window arithmetic.
+				d, secret := pick(), sched.Intn(2) == 0
+				if sched.Intn(2) == 0 {
+					lb, eb = lazyShared.llc, eagerShared.llc
+				}
+				le := lb.Insert(Entry{Domain: d, Secret: secret, Tag: lazySrc.Uint64()})
+				ee := eb.Insert(Entry{Domain: d, Secret: secret, Tag: eagerSrc.Uint64()})
 				if le != ee {
 					t.Fatalf("seed %d step %d: Insert evicted %+v, eager %+v", seed, step, le, ee)
 				}
-			case op == 8:
+			case op == 9:
+				if sched.Intn(2) == 0 {
+					lb, eb = lazyShared.llc, eagerShared.llc
+				}
 				lb.Flush()
 				eb.Flush()
+			case op == 10:
+				for ci := range lazy {
+					for kk := StructKind(0); kk < sharedKindsStart; kk++ {
+						l, e := lazy[ci].bufs[kk], eager[ci][kk]
+						for _, d := range domains {
+							if lc, ec := l.SecretCount(d), scanSecrets(e.entries, d); lc != ec {
+								t.Fatalf("seed %d step %d core %d %v: SecretCount(%v) %d, eager scan %d", seed, step, ci, kk, d, lc, ec)
+							}
+						}
+					}
+				}
+			case op == 11:
+				r := pick()
+				for _, p := range sharedPairs() {
+					sameEntries(t, "shared "+p[0].kind.String()+" Residue", p[0].Residue(r), p[1].Residue(r))
+				}
 			default:
 				// Aggregates only: no materialization, no stream draw.
 			}
@@ -123,17 +185,39 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 					}
 				}
 			}
+			// The LLC's runs are all plain, so its SecretCount is
+			// arithmetic too and is checked on every step.
+			for _, p := range sharedPairs() {
+				l, e := p[0], p[1]
+				if l.Len() != e.Len() {
+					t.Fatalf("seed %d step %d %v: Len %d, eager %d", seed, step, l.kind, l.Len(), e.Len())
+				}
+				for _, d := range domains {
+					if lc, ec := l.CountDomain(d), e.CountDomain(d); lc != ec {
+						t.Fatalf("seed %d step %d %v: CountDomain(%v) %d, eager %d", seed, step, l.kind, d, lc, ec)
+					}
+					if lc, ec := l.SecretCount(d), scanSecrets(e.entries, d); lc != ec {
+						t.Fatalf("seed %d step %d %v: SecretCount(%v) %d, eager scan %d", seed, step, l.kind, d, lc, ec)
+					}
+				}
+			}
 		}
+		finals := []*Buffer{lazyShared.llc}
+		eagers := []*Buffer{eagerShared.llc}
 		for ci := range lazy {
 			for k := StructKind(0); k < sharedKindsStart; k++ {
-				l, e := lazy[ci].bufs[k], eager[ci][k]
-				if l.pend > 0 {
-					l.materialize()
-				}
-				sameEntries(t, k.String(), l.entries, e.entries)
-				if l.next != e.next {
-					t.Fatalf("seed %d core %d %v: next %d, eager %d", seed, ci, k, l.next, e.next)
-				}
+				finals = append(finals, lazy[ci].bufs[k])
+				eagers = append(eagers, eager[ci][k])
+			}
+		}
+		for i, l := range finals {
+			e := eagers[i]
+			if l.pend > 0 {
+				l.materialize()
+			}
+			sameEntries(t, l.kind.String(), l.entries, e.entries)
+			if l.next != e.next {
+				t.Fatalf("seed %d %v: next %d, eager %d", seed, l.kind, l.next, e.next)
 			}
 		}
 		if g, w := lazySrc.Uint64(), eagerSrc.Uint64(); g != w {

@@ -290,21 +290,35 @@ func (ss *SharedState) ReleaseWays(d DomainID) {
 	}
 }
 
-// TouchShared models domain d filling shared structures. With LLC
-// partitioning enabled, d's fills are confined to its own ways and cannot
-// evict (nor be observed via) other domains' lines. It reports how many
-// resident lines the fill evicted — the cross-domain side effect the
-// PRIME+PROBE channel observes, surfaced so callers can count it.
+// TouchShared models domain d filling shared structures: an LLC
+// footprint of footprint × (capacity / ways) lines and, when
+// usesStaging, one secret-tagged staging-buffer entry. It reports how
+// many resident entries the fill evicted — the cross-domain side effect
+// the PRIME+PROBE channel observes, surfaced so callers can count it.
+//
+// The LLC is modelled as one FIFO of lines shared by every domain, so
+// evictions are counted against the whole LLC whether or not
+// partitioning is enabled: partitioning acts only when the state is
+// observed, through LLCObservable, which hides other domains' lines
+// from a partitioned reader. (SetAssocCache models the way-confined
+// placement itself.)
+//
+// The LLC fill is lazy, like Touch's: one deferred run anchored at the
+// tag stream's mark, after which the stream skips the fill's n draws,
+// so stream consumption and ring positions are exactly those of n
+// eager Inserts.
 func (ss *SharedState) TouchShared(d DomainID, footprint float64, usesStaging bool, tagSrc *sim.Source) (evicted int) {
 	if footprint > 1 {
 		footprint = 1
 	}
 	n := int(footprint * float64(ss.llc.Cap()) / float64(ss.llcWays))
-	if free := ss.llc.Cap() - ss.llc.Len(); n > free {
-		evicted = n - free
-	}
-	for i := 0; i < n; i++ {
-		ss.llc.Insert(Entry{Domain: d, Tag: tagSrc.Uint64()})
+	if n > 0 {
+		if free := ss.llc.Cap() - ss.llc.Len(); n > free {
+			evicted = n - free
+		}
+		anchor, lag := tagSrc.Mark()
+		ss.llc.pushFill(d, n, -1, anchor, lag)
+		tagSrc.Skip(uint64(n))
 	}
 	if usesStaging {
 		// Instructions like RDRAND/CPUID leave residue in the shared

@@ -133,18 +133,19 @@ type Entry struct {
 // replacement. FIFO (rather than LRU) keeps the model simple; replacement
 // policy does not affect any security verdict, only warmth decay shape.
 //
-// Bulk fills from Touch are LAZY: each is recorded as a fillRun holding
-// the domain, the count, and where its tags start in the shared tag
-// stream — an anchor state from Source.Mark plus the number of draws
-// past it. Touch only defers those draws with Source.Skip, so neither
-// the per-entry draws nor the jump over them happen at fill time. The
-// entries are built only if an entry-level reader — Residue, Insert,
-// FlushDomain — ever looks: materialize replays each run from its
-// anchor and reconstructs entries byte-identically to the eager fill.
-// Aggregate readers — Len, CountDomain, Occupancy, and through them
+// Bulk fills — Touch's per-core fills and TouchShared's LLC fill — are
+// LAZY: each is recorded as a fillRun holding the domain, the count, and
+// where its tags start in the shared tag stream — an anchor state from
+// Source.Mark plus the number of draws past it. The filler only defers
+// those draws with Source.Skip, so neither the per-entry draws nor the
+// jump over them happen at fill time. The entries are built only if an
+// entry-level reader — Residue, Insert, FlushDomain — ever looks:
+// materialize replays each run from its anchor and reconstructs entries
+// byte-identically to the eager fill. Aggregate readers — Len, CountDomain, Occupancy, and through them
 // Warmth — are answered from ring-interval arithmetic over the runs
 // without materializing, which is what removes the fill loops from the
-// simulator's hottest path.
+// simulator's hottest path. SecretCount is answered the same way while
+// every live run is plain (plain runs hold no secrets).
 type Buffer struct {
 	kind    StructKind
 	cap     int
@@ -244,19 +245,7 @@ func (b *Buffer) CountDomain(d DomainID) int {
 			}
 			newer += int(r.n)
 		}
-		covered := b.pend
-		if covered > b.cap {
-			covered = b.cap
-		}
-		wstart := b.vnext - covered
-		if b.vlen < b.cap {
-			// Still in the append phase: the runs occupy the tail
-			// [vlen-covered, vlen) and never wrapped over the base.
-			wstart = b.vlen - covered
-		}
-		if wstart < 0 {
-			wstart += b.cap
-		}
+		wstart, covered := b.window()
 		for p, e := range b.entries {
 			if e.Domain != d {
 				continue
@@ -273,6 +262,58 @@ func (b *Buffer) CountDomain(d DomainID) int {
 	}
 	for _, e := range b.entries {
 		if e.Domain == d {
+			n++
+		}
+	}
+	return n
+}
+
+// window reports the ring interval the live runs write over, as its
+// start position and length: a base entry at position p survives the
+// replay exactly when (p - wstart) mod cap >= covered.
+func (b *Buffer) window() (wstart, covered int) {
+	covered = b.pend
+	if covered > b.cap {
+		covered = b.cap
+	}
+	wstart = b.vnext - covered
+	if b.vlen < b.cap {
+		// Still in the append phase: the runs occupy the tail
+		// [vlen-covered, vlen) and never wrapped over the base.
+		wstart = b.vlen - covered
+	}
+	if wstart < 0 {
+		wstart += b.cap
+	}
+	return wstart, covered
+}
+
+// SecretCount reports how many of d's entries are secret-tagged. Plain
+// runs hold no secrets, so while every live run is plain it counts only
+// the base entries outside the runs' write window, as CountDomain does;
+// a pending secret run is materialized first. It never allocates once
+// the buffer's entries have grown to its capacity.
+func (b *Buffer) SecretCount(d DomainID) int {
+	for _, r := range b.live() {
+		if r.secretFrac >= 0 {
+			b.materialize()
+			break
+		}
+	}
+	wstart, covered := 0, 0
+	if b.pend > 0 {
+		wstart, covered = b.window()
+	}
+	n := 0
+	for p, e := range b.entries {
+		if e.Domain != d || !e.Secret {
+			continue
+		}
+		off := p - wstart
+		if off < 0 {
+			off += b.cap
+		}
+		if off >= covered {
 			n++
 		}
 	}
