@@ -56,14 +56,15 @@ trace-smoke:
 	echo "trace-smoke: Chrome trace exported and well-formed"
 
 # The parallel runner must produce byte-identical artifacts to a serial
-# run for the same seed. openloop rides along because its per-window
-# CSVs are the output most sensitive to trial scheduling.
+# run for the same seed: every experiment's CSVs and its per-trial
+# engine counter bank (-counters). openloop's per-window CSVs are the
+# output most sensitive to trial scheduling.
 determinism:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/benchsuite -exp table3,openloop -parallel 1 -csv "$$tmp/serial" >/dev/null && \
-	$(GO) run ./cmd/benchsuite -exp table3,openloop -parallel 8 -csv "$$tmp/parallel" >/dev/null && \
+	$(GO) run ./cmd/benchsuite -exp all -counters -parallel 1 -csv "$$tmp/serial" >/dev/null && \
+	$(GO) run ./cmd/benchsuite -exp all -counters -parallel 8 -csv "$$tmp/parallel" >/dev/null && \
 	diff -r "$$tmp/serial" "$$tmp/parallel" && \
-	echo "determinism: serial and parallel CSVs identical"
+	echo "determinism: serial and parallel CSVs and counter banks identical"
 
 # Perf trajectory: engine microbenchmarks + a fixed benchsuite smoke
 # run, recorded in BENCH_7.json. A smoke, not a threshold — except the

@@ -6,8 +6,8 @@
 //
 //	benchsuite [-exp all|table2|...|fig10|tdx|openloop] [-full] [-seed N]
 //	           [-parallel N] [-fresh] [-json] [-csv DIR] [-v] [-progress]
-//	           [-counters] [-selfmetrics FILE] [-queue heap|wheel]
-//	           [-snapshot=false] [-cpuprofile FILE] [-memprofile FILE]
+//	           [-counters] [-selfmetrics FILE] [-cpuprofile FILE]
+//	           [-memprofile FILE]
 //
 // Experiments come from the internal/exp registry; -exp list prints
 // them, and -exp accepts a comma-separated subset (e.g.
@@ -46,7 +46,6 @@ import (
 	"flag"
 
 	"coregap/internal/exp"
-	"coregap/internal/sim"
 	"coregap/internal/trace"
 )
 
@@ -64,8 +63,6 @@ var (
 	progress    = flag.Bool("progress", false, "print a live trials-completed line to stderr")
 	countersCSV = flag.Bool("counters", false, "with -csv, also write each experiment's per-trial engine counters as <exp>-counters.csv")
 	selfmetrics = flag.String("selfmetrics", "", "write runner self-metrics (worker stats, alloc/GC deltas, provenance) as JSON to this file")
-	queueFlag   = flag.String("queue", "", "event queue implementation: heap or wheel (empty = build default)")
-	snapshot    = flag.Bool("snapshot", true, "fork sweep trials from cached boot snapshots when specs share a BootKey")
 )
 
 // readMetric samples one runtime/metrics uint64 counter (0 if absent).
@@ -160,14 +157,6 @@ func fail(code int, format string, args ...any) {
 
 func main() {
 	flag.Parse()
-	if *queueFlag != "" {
-		k, err := sim.ParseQueueKind(*queueFlag)
-		if err != nil {
-			fail(2, "benchsuite: %v\n", err)
-		}
-		sim.SetDefaultQueue(k)
-	}
-	exp.SetSnapshotForking(*snapshot)
 	want := strings.ToLower(*expFlag)
 	if want == "list" {
 		for _, name := range exp.Names() {

@@ -12,7 +12,7 @@
 //	coregapctl -mode gapped -workload coremark -cores 8 -vcpus 7 -work 500ms
 //	coregapctl -mode shared -workload iozone -record 65536
 //	coregapctl -mode busywait -workload coremark -cores 16
-//	coregapctl -workload openloop -rate 100000,250000,500000   # rate sweep, shared boot
+//	coregapctl -workload openloop -rate 100000,250000,500000   # rate sweep, one pooled context
 //	coregapctl -list
 //	coregapctl -exp table3
 //	coregapctl -workload ipibench -trace trace.json    # view in Perfetto
@@ -47,7 +47,7 @@ var (
 	jobs     = flag.Int("jobs", 100, "compile jobs (kbuild)")
 	rounds   = flag.Int("rounds", 200, "round trips (ipibench, netpipe)")
 	msgBytes = flag.Int("bytes", 1024, "message/request size (netpipe, redis)")
-	rate     = flag.String("rate", "50000", "offered request rate in req/s; comma-separated rates run as a sweep sharing one booted node (openloop)")
+	rate     = flag.String("rate", "50000", "offered request rate in req/s; comma-separated rates run as a sweep in one pooled context (openloop)")
 	clients  = flag.Int("clients", 50, "connection pool size (openloop)")
 	arrival  = flag.String("arrival", "poisson", "poisson | bursty (openloop)")
 	metwin   = flag.Duration("metwin", 10*time.Millisecond, "windowed-metrics width (openloop)")
@@ -59,8 +59,6 @@ var (
 	counters = flag.Bool("counters", false, "print the trial's engine counter bank")
 	memstats = flag.Bool("memstats", false, "print Go runtime allocation totals after the run (for harness memory tracking)")
 	verbose  = flag.Bool("v", false, "dump the full metric set")
-	queueSel = flag.String("queue", "", "event queue implementation: heap or wheel (empty = build default)")
-	repeat   = flag.Int("repeat", 1, "run the scenario N times in one pooled context; >1 exercises boot-snapshot forking (last run is reported)")
 )
 
 // parseRates parses the -rate flag: one or more positive req/s values,
@@ -77,23 +75,8 @@ func parseRates(s string) ([]float64, error) {
 	return rates, nil
 }
 
-// headlineCounters are the mechanism counters coregapctl always
-// surfaces — in -counters output and as Chrome counter tracks — even at
-// zero, so the active queue implementation and snapshot behaviour are
-// visible at a glance.
-var headlineCounters = []string{"wheel.cascade", "snapshot.fork", "snapshot.hit"}
-
 func main() {
 	flag.Parse()
-
-	if *queueSel != "" {
-		k, err := sim.ParseQueueKind(*queueSel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coregapctl: %v\n", err)
-			os.Exit(2)
-		}
-		sim.SetDefaultQueue(k)
-	}
 
 	if *list {
 		for _, name := range exp.Names() {
@@ -183,19 +166,11 @@ func main() {
 
 	if len(rates) > 1 {
 		// A rate sweep runs one trial per offered rate inside a single
-		// pooled context sharing a boot key, so every rate after the first
-		// forks the booted guest from the cached snapshot instead of
-		// re-booting — the sweep's wall clock is dominated by the serving
-		// phases, not repeated boots.
+		// pooled context; each rate boots the node in full.
 		if spec.Trace {
 			fmt.Fprintf(os.Stderr, "coregapctl: -trace captures a single run; drop it or pick one -rate\n")
 			os.Exit(2)
 		}
-		if *repeat > 1 {
-			fmt.Fprintf(os.Stderr, "coregapctl: -repeat and a -rate sweep are mutually exclusive\n")
-			os.Exit(2)
-		}
-		spec.BootKey = "coregapctl"
 		ctx := exp.NewTrialContext()
 		for i, r := range rates {
 			spec.Workload.Rate = r
@@ -214,24 +189,7 @@ func main() {
 		return
 	}
 
-	var trial exp.Trial
-	if *repeat > 1 {
-		// Repeated runs share one pooled context and a boot key, so runs
-		// after the first fork the guest boot from the cached snapshot
-		// (visible as snapshot.hit/snapshot.fork in -counters). Traced
-		// runs still boot in full: forking is disabled under tracing so
-		// the granule-protocol events stay in the capture.
-		spec.BootKey = "coregapctl"
-		ctx := exp.NewTrialContext()
-		for i := 0; i < *repeat; i++ {
-			trial, err = exp.ExecuteIn(ctx, spec)
-			if err != nil {
-				break
-			}
-		}
-	} else {
-		trial, err = exp.Execute(spec)
-	}
+	trial, err := exp.Execute(spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "coregapctl: %v\n", err)
 		os.Exit(1)
@@ -286,21 +244,14 @@ func printTrial(spec exp.ScenarioSpec, trial exp.Trial) {
 		}
 	}
 	if *counters {
-		bank := make(map[string]uint64, len(trial.Counters)+len(headlineCounters))
-		for _, name := range headlineCounters {
-			bank[name] = 0
-		}
-		for name, v := range trial.Counters {
-			bank[name] = v
-		}
-		cnames := make([]string, 0, len(bank))
-		for name := range bank {
+		cnames := make([]string, 0, len(trial.Counters))
+		for name := range trial.Counters {
 			cnames = append(cnames, name)
 		}
 		sort.Strings(cnames)
 		fmt.Println("engine counters:")
 		for _, name := range cnames {
-			fmt.Printf("  %-24s %d\n", name, bank[name])
+			fmt.Printf("  %-24s %d\n", name, trial.Counters[name])
 		}
 	}
 	if *verbose && trial.Metrics != nil {
@@ -323,19 +274,14 @@ func printMemStats() {
 }
 
 // writeTrace exports the trial's captured events as Chrome trace JSON,
-// with the headline mechanism counters (wheel cascades, snapshot
-// forks/hits) attached as counter tracks.
+// with the trial's engine counter bank attached as counter tracks.
 func writeTrace(path, id string, trial exp.Trial) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	tracks := make(map[string]uint64, len(headlineCounters))
-	for _, name := range headlineCounters {
-		tracks[name] = trial.Counters[name]
-	}
-	if err := obs.ChromeTraceWithCounters(f, "coregap "+id, trial.TraceEvents, tracks); err != nil {
+	if err := obs.ChromeTraceWithCounters(f, "coregap "+id, trial.TraceEvents, trial.Counters); err != nil {
 		return fmt.Errorf("trace %s: %w", path, err)
 	}
 	return f.Close()

@@ -95,9 +95,6 @@ type Node struct {
 	wakeups map[hw.CoreID]*wakeup
 	// calls recycles the payloads of vCPU continuations in flight.
 	calls sim.Thunks[vcpuCall]
-	// boot, when armed via UseBootCache, captures or forks guest boot
-	// snapshots for sweep trials sharing a BootKey.
-	boot *bootFork
 }
 
 // Context bundles the expensive, resettable substrate a Node is built

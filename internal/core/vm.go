@@ -122,13 +122,7 @@ func (n *Node) NewVM(name string, vcpus int, prog guest.Program) (*VM, error) {
 
 	switch n.Opts.Mode {
 	case Gapped:
-		var err error
-		if p := n.forkProduct(name, vcpus); p != nil {
-			err = n.forkGapped(vm, vcpus, p)
-		} else {
-			err = n.setupGapped(vm, vcpus)
-		}
-		if err != nil {
+		if err := n.setupGapped(vm, vcpus); err != nil {
 			return nil, err
 		}
 	default:
@@ -138,6 +132,9 @@ func (n *Node) NewVM(name string, vcpus int, prog guest.Program) (*VM, error) {
 	return vm, nil
 }
 
+// setupGapped is the §4.2 boot of a confidential VM, top to bottom.
+// Call order is load-bearing: thread creation, granule allocation and
+// event scheduling fix the trial's event sequence.
 func (n *Node) setupGapped(vm *VM, vcpus int) error {
 	// 1. Admission control and placement.
 	a, err := n.Plan.Admit(vm.name, vcpus)
@@ -145,16 +142,6 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 		return err
 	}
 	vm.assign = &assignment{guestCores: a.GuestCores, hostCore: a.HostCore}
-
-	// When capturing a boot snapshot, record counter deltas around the
-	// RMI sections only; kernel-visible work (threads, mailboxes,
-	// hotplug) is replayed verbatim on fork and must stay out of the
-	// delta or it would be counted twice.
-	var rec *deltaRecorder
-	if b := n.boot; b != nil && b.capturing {
-		rec = newDeltaRecorder(n)
-		rec.resume()
-	}
 
 	// 2. Realm construction via RMI.
 	realm, err := n.Mon.RealmCreate(
@@ -181,106 +168,20 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 			return fmt.Errorf("core: data create: %w", err)
 		}
 	}
-	if rec != nil {
-		rec.pause()
-	}
-
-	err = n.finishGapped(vm, vcpus,
-		func(i int) (*rmm.REC, error) {
-			if rec != nil {
-				rec.resume()
-			}
-			r, err := n.Mon.RecCreate(realm, n.allocGranule())
-			if rec != nil {
-				rec.pause()
-			}
-			return r, err
-		},
-		func() error {
-			if rec != nil {
-				rec.resume()
-			}
-			err := n.Mon.Activate(realm)
-			if rec != nil {
-				rec.pause()
-			}
-			return err
-		})
-	if err != nil {
-		return err
-	}
-
-	if rec != nil {
-		eng, met := rec.deltas()
-		n.boot.entry.vms = append(n.boot.entry.vms, &vmBootProduct{
-			name:   vm.name,
-			vcpus:  vcpus,
-			gpt:    n.Mach.GPT().Snapshot(),
-			nextPA: n.nextPA,
-			realm:  n.Mon.SnapshotRealm(realm),
-			eng:    eng,
-			met:    met,
-		})
-	}
-	return nil
-}
-
-// forkGapped boots vm by transplanting a captured boot snapshot: the
-// planner admission and every kernel-visible call are replayed in the
-// original order, while the RMI products (granule table, realm object
-// graph, measurements) are restored from the cache and the counters the
-// skipped calls would have fired are replayed as recorded deltas.
-func (n *Node) forkGapped(vm *VM, vcpus int, p *vmBootProduct) error {
-	// Replayed admission: planner state must advance exactly as in the
-	// captured boot.
-	a, err := n.Plan.Admit(vm.name, vcpus)
-	if err != nil {
-		return err
-	}
-	vm.assign = &assignment{guestCores: a.GuestCores, hostCore: a.HostCore}
-
-	if err := n.Mach.GPT().Restore(p.gpt); err != nil {
-		n.Plan.Release(vm.name)
-		return err
-	}
-	n.nextPA = p.nextPA
-	realm := n.Mon.AdoptRealm(p.realm)
-	vm.realm = realm
-	vm.domain = realm.Domain()
-	n.replayDeltas(p)
-	n.Eng.Count(cSnapFork)
-
-	recs := realm.RECs()
-	// Activation is part of the snapshot (the adopted realm is already
-	// Active and its ledger sealed), so the activate step is nil.
-	return n.finishGapped(vm, vcpus,
-		func(i int) (*rmm.REC, error) { return recs[i], nil }, nil)
-}
-
-// finishGapped is the kernel-visible tail of a gapped boot, identical
-// between a full boot and a snapshot fork: VMM process, wake-up thread,
-// vCPU threads and mailboxes, activation (when non-nil), core hotplug
-// with realm handoff, and busy-wait seeding. newREC supplies the i-th
-// vCPU's REC — freshly created over RMI on the full path, adopted from
-// the snapshot on the fork path. Call order here is load-bearing:
-// thread creation and event scheduling must match the captured boot
-// exactly for forked trials to stay byte-identical.
-func (n *Node) finishGapped(vm *VM, vcpus int, newREC func(i int) (*rmm.REC, error), activate func() error) error {
-	a := vm.assign
 
 	// 3. VMM process, pinned to the assigned host core (§5.1: "pinning
 	// all VMM threads on the host to a single additional core").
-	vm.VMM = vmm.New(vm.name, n.Kern, vmm.DefaultCosts(), int(a.hostCore), n.Met)
+	vm.VMM = vmm.New(vm.name, n.Kern, vmm.DefaultCosts(), int(a.HostCore), n.Met)
 	vm.VMM.SetInject(vm.injectFromHost)
 
 	// 4. vCPU contexts, threads and run-call mailboxes.
-	vm.wakeup = n.wakeupThreadFor(a.hostCore)
+	vm.wakeup = n.wakeupThreadFor(a.HostCore)
 	for i := 0; i < vcpus; i++ {
-		rec, err := newREC(i)
+		rec, err := n.Mon.RecCreate(realm, n.allocGranule())
 		if err != nil {
 			return err
 		}
-		v := newVCPU(vm, i, a.guestCores[i])
+		v := newVCPU(vm, i, a.GuestCores[i])
 		v.rec = rec
 		v.mb = rpc.NewMailbox(n.Eng, fmt.Sprintf("%s/vcpu%d", vm.name, i))
 		// vCPU threads run FIFO so they preempt VMM threads when woken
@@ -292,13 +193,11 @@ func (n *Node) finishGapped(vm *VM, vcpus int, newREC func(i int) (*rmm.REC, err
 			class = host.ClassNormal
 		}
 		v.thread = n.Kern.NewThread(fmt.Sprintf("%s/vcpu%d", vm.name, i),
-			class, a.hostCore)
+			class, a.HostCore)
 		vm.vcpus = append(vm.vcpus, v)
 	}
-	if activate != nil {
-		if err := activate(); err != nil {
-			return err
-		}
+	if err := n.Mon.Activate(realm); err != nil {
+		return err
 	}
 
 	// 5. Hotplug the guest cores out of the host and hand them to the

@@ -126,7 +126,6 @@ func fig6Specs(coreCounts []int, workPerVCPU sim.Duration, seed uint64) []Scenar
 			Workload: Workload{Kind: WLCoreMark, VCPUs: vcpus, Work: workPerVCPU},
 			Horizon:  sim.Duration(200) * workPerVCPU,
 			Series:   series, X: float64(N),
-			BootKey: bootKey(1, vcpus),
 		}
 	}
 	for _, N := range coreCounts {
@@ -193,7 +192,6 @@ func fig7Specs(maxVMs int, workPerVCPU sim.Duration, seed uint64) []ScenarioSpec
 				Workload: Workload{Kind: WLCoreMark, VMs: k, VCPUs: vcpusPerVM, Work: workPerVCPU},
 				Horizon:  sim.Duration(200) * workPerVCPU,
 				Series:   mode.series, X: float64(k),
-				BootKey: bootKey(k, vcpusPerVM),
 			})
 		}
 	}

@@ -46,7 +46,6 @@ func fig8Specs(sizes []int, rounds int, seed uint64) []ScenarioSpec {
 				Config: c.cfg, Cores: 4, Seed: seed,
 				Workload: Workload{Kind: WLNetPIPE, Dev: c.dev, Bytes: size, Rounds: rounds},
 				Series:   c.series, X: float64(size),
-				BootKey: bootKey(1, 1),
 			})
 		}
 	}
@@ -99,7 +98,6 @@ func fig9Specs(records []int, seed uint64) []ScenarioSpec {
 					Config: mode.cfg, Cores: 4, Seed: seed,
 					Workload: Workload{Kind: WLIOzone, Bytes: rec, Write: write, Total: int64(rec) * 32},
 					Series:   mode.label + " " + op, X: float64(rec),
-					BootKey: bootKey(1, 1),
 				})
 			}
 		}

@@ -132,9 +132,7 @@ func (t *Trial) runOpenLoop(ctx *TrialContext, spec ScenarioSpec) error {
 
 // openLoopSpecs sweeps offered SET load over the Table 5 machine shape
 // (single-threaded Redis, SR-IOV, 16-core node) for shared-core and
-// core-gapped configurations under the given arrival process. Specs
-// share a BootKey per configuration, so consecutive rates in a sweep
-// fork from one cached boot snapshot instead of re-booting the node.
+// core-gapped configurations under the given arrival process.
 func openLoopSpecs(kind vmm.ArrivalKind, ratesKRPS []float64, window, metWin sim.Duration, seed uint64, clients int) []ScenarioSpec {
 	var specs []ScenarioSpec
 	for _, mode := range []struct {
@@ -154,7 +152,6 @@ func openLoopSpecs(kind vmm.ArrivalKind, ratesKRPS []float64, window, metWin sim
 					Window: window, Rate: kr * 1000, Arrival: kind, SLO: openLoopSLO},
 				MetricsWindow: metWin,
 				Series:        mode.series, X: kr,
-				BootKey: bootKey(1, mode.vcpus),
 			})
 		}
 	}

@@ -56,24 +56,12 @@ func TestPooledExecuteDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s pooled parallel: %v", name, err)
 		}
-		// The pooled runs above execute with boot-snapshot forking at its
-		// default (on); a serial run with forking disabled pins down that
-		// the fork path, not luck, is what matches.
-		SetSnapshotForking(false)
-		pooledOff, err := NewRunner(1).RunExperiment(e, p)
-		SetSnapshotForking(true)
-		if err != nil {
-			t.Fatalf("%s pooled no-snapshot: %v", name, err)
-		}
 		want := renderReport(t, fresh)
 		if got := renderReport(t, pooled1); got != want {
 			t.Errorf("%s: pooled serial differs from fresh\nfresh:\n%s\npooled:\n%s", name, want, got)
 		}
 		if got := renderReport(t, pooled8); got != want {
 			t.Errorf("%s: pooled 8-worker differs from fresh\nfresh:\n%s\npooled:\n%s", name, want, got)
-		}
-		if got := renderReport(t, pooledOff); got != want {
-			t.Errorf("%s: pooled no-snapshot run differs from fresh\nfresh:\n%s\npooled:\n%s", name, want, got)
 		}
 	}
 }

@@ -133,48 +133,6 @@ func (t *Table) Reset(size uint64) {
 	t.counts[Undelegated] = n
 }
 
-// Image is a copy of a table's mutated prefix — everything a boot
-// sequence changed — taken by Snapshot and written back by Restore. It
-// is immutable once taken: both directions copy, so a cached image stays
-// valid while the live table keeps mutating.
-type Image struct {
-	granules []granule
-	counts   [6]uint64
-	hi       uint64
-	size     uint64 // granule count of the source table
-}
-
-// Snapshot copies the table's mutated prefix. Restoring the image later
-// reproduces today's state exactly, without replaying the delegation
-// protocol that built it (the boot-fork fast path).
-func (t *Table) Snapshot() *Image {
-	return &Image{
-		granules: append([]granule(nil), t.granules[:t.hi]...),
-		counts:   t.counts,
-		hi:       t.hi,
-		size:     uint64(len(t.granules)),
-	}
-}
-
-// Restore overwrites the table's state with the image. The table must
-// cover the same physical memory the image was taken from. No counters
-// or trace events fire: Restore is state transplantation, not protocol;
-// callers replaying a boot account for the skipped transitions
-// themselves.
-func (t *Table) Restore(img *Image) error {
-	if uint64(len(t.granules)) != img.size {
-		return fmt.Errorf("granule: restore into table of %d granules, image from %d",
-			len(t.granules), img.size)
-	}
-	if t.hi > img.hi {
-		clear(t.granules[img.hi:t.hi])
-	}
-	copy(t.granules, img.granules)
-	t.counts = img.counts
-	t.hi = img.hi
-	return nil
-}
-
 // Bind attaches the engine whose counters and tracer receive this
 // table's state transitions, returning t for construction chaining.
 func (t *Table) Bind(eng *sim.Engine) *Table {

@@ -67,11 +67,11 @@ func ChromeTrace(w io.Writer, proc string, events []sim.TraceEvent) error {
 
 // ChromeTraceWithCounters is ChromeTrace plus counter tracks: every
 // entry of counters becomes a Chrome counter ("C") sample at the
-// trace's final timestamp, so headline engine totals — wheel cascades,
-// snapshot forks and hits — get their own lanes in the viewer next to
-// the event lanes. Counter samples are emitted in sorted name order;
-// zero values are included deliberately, pinning the track (and the
-// fact that the mechanism was off) into the trace.
+// trace's final timestamp, so engine counter totals get their own
+// lanes in the viewer next to the event lanes. Counter samples are
+// emitted in sorted name order; zero values are included deliberately,
+// pinning the track (and the fact that the mechanism was off) into the
+// trace.
 func ChromeTraceWithCounters(w io.Writer, proc string, events []sim.TraceEvent, counters map[string]uint64) error {
 	out := chromeTrace{DisplayTimeUnit: "ns"}
 	out.TraceEvents = append(out.TraceEvents, chromeEvent{

@@ -17,9 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // events emitting a world switch, an IPI and a proxy post — and
 // returns the recorded ring.
 func tinyEvents() []sim.TraceEvent {
-	// Pin the heap queue: this test checks trace formatting against a
-	// golden, and the wheel queue adds cascade events of its own.
-	e := sim.NewEngineQueue(42, sim.QueueHeap)
+	e := sim.NewEngine(42)
 	tr := e.EnableTracing(64)
 	e.At(100, "timer.tick", func() {
 		tr.Span(sim.TCWorld, "hw.world_switch", 0, 30*sim.Nanosecond, 1)

@@ -59,9 +59,7 @@ func BenchmarkChurn(b *testing.B) {
 // over table3/fig6/fig8 trials): 51% is the 5us scheduler tick, a
 // third is sub-microsecond IPI/world-switch traffic (129ns-1.6us), and
 // the tail has spikes at 500us (netpipe round), 4ms (redis think time)
-// and beyond. The queue A/B is judged on this shape, not on uniform
-// deltas: a calendar queue's cascade cost depends entirely on how
-// often the clock crosses slot-span boundaries.
+// and beyond.
 var empiricalDeltas = func() (table []Duration) {
 	dist := []struct {
 		d Duration
@@ -132,21 +130,18 @@ func zeroAllocs(t *testing.T, name string, op func()) {
 	}
 }
 
-// allocGateEngines yields one engine per (queue kind, tracing) corner:
-// both queue implementations must hold the zero-allocation invariant
-// with the flight recorder off and on (ring emits are value writes, and
-// wheel cascades may emit while stepping).
+// allocGateEngines yields one engine per tracing corner: the engine
+// must hold the zero-allocation invariant with the flight recorder off
+// and on (ring emits are value writes).
 func allocGateEngines(f func(name string, e *Engine)) {
-	for _, k := range []QueueKind{QueueHeap, QueueWheel} {
-		for _, traced := range []bool{false, true} {
-			e := NewEngineQueue(1, k)
-			name := k.String()
-			if traced {
-				e.EnableTracing(1 << 12)
-				name += "+trace"
-			}
-			f(name, e)
+	for _, traced := range []bool{false, true} {
+		e := NewEngine(1)
+		name := "untraced"
+		if traced {
+			e.EnableTracing(1 << 12)
+			name = "traced"
 		}
+		f(name, e)
 	}
 }
 
@@ -173,8 +168,7 @@ func TestZeroAllocCancel(t *testing.T) {
 }
 
 // TestZeroAllocDeepQueue gates the full-depth restructuring path: the
-// queue stays 256 deep while events churn through it (heap sifts,
-// wheel slot relinks and cascades).
+// queue stays 256 deep while events churn through it (heap sifts).
 func TestZeroAllocDeepQueue(t *testing.T) {
 	allocGateEngines(func(name string, e *Engine) {
 		src := e.Source("gate")

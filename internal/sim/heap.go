@@ -1,10 +1,11 @@
 package sim
 
-// The 4-ary min-heap is the comparison-based eventQueue implementation,
-// ordered by (at, seq). It replaces container/heap to keep the hot path
-// free of interface boxing and indirect Less/Swap calls: tens of
-// millions of events flow through push/pop per benchsuite run, and the
-// comparison is two integer compares that the compiler can inline.
+// The 4-ary min-heap is the engine's pending-event queue, ordered by
+// (at, seq) so same-instant events fire FIFO. It replaces container/heap
+// to keep the hot path free of interface boxing and indirect Less/Swap
+// calls: tens of millions of events flow through push/pop per benchsuite
+// run, and the comparison is two integer compares that the compiler can
+// inline.
 //
 // A 4-ary layout halves the tree depth of a binary heap. Sift-down
 // scans up to four children per level, but those nodes share at most
@@ -14,8 +15,7 @@ package sim
 // Fired and cancelled nodes are recycled through an engine-owned free
 // list rather than garbage: in steady state At/After allocate nothing.
 // Recycling is what makes the generation counter on event necessary —
-// see Event in sim.go for the stale-handle story. The sibling
-// implementation lives in wheel.go; queue.go owns the selection.
+// see Event in sim.go for the stale-handle story.
 
 // event is the pooled, engine-owned queue node. External code never
 // sees an *event; it holds an Event handle (node pointer + generation).
@@ -23,13 +23,9 @@ type event struct {
 	at    Time
 	seq   uint64
 	gen   uint32 // bumped every time the node is recycled
-	index int32  // queue position (heap index or wheel lvl<<6|slot), -1 while not queued
+	index int32  // heap position, -1 while not queued
 	fn    func()
 	label string
-
-	// Intrusive list links, used only while the node is filed in a
-	// wheelQueue slot. nil under the heap implementation.
-	next, prev *event
 }
 
 // less orders the queue by time, breaking ties by schedule order so
@@ -63,16 +59,12 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// heapQueue is the 4-ary min-heap eventQueue. The backing array is kept
-// across drain/reset so a pooled engine reaches steady state with no
-// per-trial allocation.
+// heapQueue is the 4-ary min-heap. push/pop/remove allocate nothing in
+// steady state, and the backing array is kept across Engine.Reset so a
+// pooled engine reaches steady state with no per-trial allocation.
 type heapQueue struct {
 	h []*event
 }
-
-func (q *heapQueue) kind() QueueKind { return QueueHeap }
-
-func (q *heapQueue) size() int { return len(q.h) }
 
 func (q *heapQueue) peek() *event {
 	if len(q.h) == 0 {
@@ -106,23 +98,6 @@ func (q *heapQueue) pop() *event {
 	return top
 }
 
-// popRun pops the minimum node and every same-timestamp sibling. Each
-// sibling costs one peek (h[0], free) plus the pop it would have cost
-// anyway; the win is on the engine side, which dispatches the run
-// without a queue interaction per event.
-func (q *heapQueue) popRun(buf []*event) []*event {
-	ev := q.pop()
-	if ev == nil {
-		return buf
-	}
-	at := ev.at
-	buf = append(buf, ev)
-	for len(q.h) > 0 && q.h[0].at == at {
-		buf = append(buf, q.pop())
-	}
-	return buf
-}
-
 // remove unlinks a queued node (cancellation).
 func (q *heapQueue) remove(ev *event) {
 	i := int(ev.index)
@@ -140,14 +115,6 @@ func (q *heapQueue) remove(ev *event) {
 		}
 	}
 	ev.index = -1
-}
-
-func (q *heapQueue) drain(recycle func(*event)) {
-	for _, ev := range q.h {
-		ev.index = -1
-		recycle(ev)
-	}
-	q.h = q.h[:0]
 }
 
 func (q *heapQueue) siftUp(i int) {

@@ -1,0 +1,166 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+)
+
+// Tests for events that share a timestamp. These pin the semantics the
+// rest of the repo relies on — (at, seq) FIFO order, cancellation of a
+// later sibling, Pending/NextEventTime visibility part-way through a
+// same-instant run, Reset with pending ties, and Stop mid-storm.
+
+// TestSameInstantFIFO: a storm of events at one timestamp fires in
+// schedule order, interleaved correctly with events a callback schedules
+// at that same timestamp mid-storm (higher seq: they fire after the
+// original run).
+func TestSameInstantFIFO(t *testing.T) {
+	e := NewEngine(1)
+	var got []int
+	at := Time(100)
+	for i := 0; i < 8; i++ {
+		i := i
+		e.At(at, "storm", func() {
+			got = append(got, i)
+			if i == 2 {
+				// Scheduled mid-storm at the same instant: must fire
+				// after the pre-existing run, in schedule order.
+				e.At(at, "late", func() { got = append(got, 100) })
+				e.At(at, "late", func() { got = append(got, 101) })
+			}
+		})
+	}
+	e.Run()
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 100, 101}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("fire order %v, want %v", got, want)
+	}
+	if e.Now() != at {
+		t.Errorf("now = %v, want %v", e.Now(), at)
+	}
+}
+
+// TestSameInstantCancelSibling: an event cancelling a later same-instant
+// sibling suppresses it, and the cancelled handle goes inert
+// immediately.
+func TestSameInstantCancelSibling(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	var victim Event
+	e.At(50, "killer", func() {
+		got = append(got, "killer")
+		if !victim.Pending() {
+			t.Error("same-instant sibling not Pending before cancel")
+		}
+		e.Cancel(victim)
+		if victim.Pending() {
+			t.Error("cancelled sibling still Pending")
+		}
+	})
+	victim = e.At(50, "victim", func() { got = append(got, "victim") })
+	e.At(50, "after", func() { got = append(got, "after") })
+	e.Run()
+	if fmt.Sprint(got) != fmt.Sprint([]string{"killer", "after"}) {
+		t.Errorf("fire order %v, want [killer after]", got)
+	}
+	if e.EventsFired() != 2 {
+		t.Errorf("fired = %d, want 2", e.EventsFired())
+	}
+}
+
+// TestSameInstantPendingCounts: Pending and NextEventTime stay correct
+// while part of a same-instant run has fired.
+func TestSameInstantPendingCounts(t *testing.T) {
+	e := NewEngine(1)
+	for i := 0; i < 4; i++ {
+		e.At(10, "tie", func() {})
+	}
+	e.At(20, "later", func() {})
+	if got := e.Pending(); got != 5 {
+		t.Fatalf("Pending = %d, want 5", got)
+	}
+	e.Step() // fires the first of the run at 10
+	if got := e.Pending(); got != 4 {
+		t.Errorf("Pending mid-run = %d, want 4", got)
+	}
+	if got := e.NextEventTime(); got != 10 {
+		t.Errorf("NextEventTime mid-run = %v, want 10", got)
+	}
+	e.Step()
+	e.Step()
+	e.Step()
+	if got := e.NextEventTime(); got != 20 {
+		t.Errorf("NextEventTime after run = %v, want 20", got)
+	}
+}
+
+// TestSameInstantResetMidRun: Reset with a partially dispatched
+// same-instant run (live and cancelled leftovers alike) recycles every
+// node and leaves a clean engine — and the recycled nodes are reused,
+// not leaked.
+func TestSameInstantResetMidRun(t *testing.T) {
+	e := NewEngine(1)
+	var victim Event
+	for i := 0; i < 6; i++ {
+		h := e.At(10, "tie", func() {})
+		if i == 3 {
+			victim = h
+		}
+	}
+	e.Step() // fire the first of the run
+	e.Cancel(victim)
+	e.Reset(2)
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending after Reset = %d, want 0", got)
+	}
+	if e.Now() != 0 {
+		t.Fatal("clock not rewound")
+	}
+	// The engine must be fully reusable: another same-instant storm
+	// runs to completion.
+	fired := 0
+	for i := 0; i < 6; i++ {
+		e.At(5, "tie", func() { fired++ })
+	}
+	e.Run()
+	if fired != 6 {
+		t.Errorf("fired %d/6 after Reset", fired)
+	}
+}
+
+// TestSameInstantStopMidRun: Stop inside a same-instant event halts
+// dispatch; the undelivered siblings stay pending and drain on Reset.
+func TestSameInstantStopMidRun(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	e.At(10, "stopper", func() { fired++; e.Stop() })
+	e.At(10, "tail", func() { fired++ })
+	e.At(10, "tail", func() { fired++ })
+	e.Run()
+	if fired != 1 {
+		t.Fatalf("fired %d, want 1 (Stop mid-storm)", fired)
+	}
+	if got := e.Pending(); got != 2 {
+		t.Errorf("Pending after Stop = %d, want 2", got)
+	}
+	e.Reset(3)
+	if got := e.Pending(); got != 0 {
+		t.Errorf("Pending after Reset = %d, want 0", got)
+	}
+}
+
+// TestZeroAllocSameInstantStorm extends the engine's zero-alloc gate to
+// same-instant storms: scheduling and firing a run of ties allocates
+// nothing once the pool is warm.
+func TestZeroAllocSameInstantStorm(t *testing.T) {
+	allocGateEngines(func(name string, e *Engine) {
+		fn := func() {}
+		zeroAllocs(t, "same-instant storm/"+name, func() {
+			at := e.Now() + 5
+			for i := 0; i < 16; i++ {
+				e.At(at, "storm", fn)
+			}
+			e.RunUntil(at)
+		})
+	})
+}

@@ -102,38 +102,20 @@ func (e Event) Label() string {
 	return e.n.label
 }
 
-// Pending reports whether the event is still queued (or popped into the
-// engine's same-timestamp dispatch batch but not yet fired).
+// Pending reports whether the event is still queued.
 func (e Event) Pending() bool { return e.valid() && e.n.index != -1 }
-
-// batchIndex marks a node's index while it sits in the engine's
-// same-timestamp dispatch batch: popped from the queue together with
-// its siblings but not yet fired. A batched node is still Pending and
-// still cancellable — Cancel invalidates it in place (the batch owns
-// the node, so it cannot be unlinked) and dispatch retires it without
-// firing.
-const batchIndex int32 = -2
 
 // Engine is a deterministic discrete-event scheduler.
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now       Time
-	seq       uint64
-	q         eventQueue   // pending events; heap.go / wheel.go, selected in queue.go
-	free      []*event     // recycled nodes; At/After allocate nothing in steady state
-	recycleFn func(*event) // e.recycle, bound once so Reset's drain allocates nothing
-	stopped   bool
-	seed      uint64
-	sources   map[string]*Source
-
-	// Same-timestamp dispatch batch: Step pops the earliest event and
-	// every sibling sharing its timestamp in one popRun, then fires them
-	// from this buffer without re-touching the queue top per event. The
-	// buffer is reused across runs, so batching allocates nothing in
-	// steady state.
-	batch    []*event
-	batchPos int
+	now     Time
+	seq     uint64
+	q       heapQueue // pending events (heap.go)
+	free    []*event  // recycled nodes; At/After allocate nothing in steady state
+	stopped bool
+	seed    uint64
+	sources map[string]*Source
 
 	// Stats.
 	fired     uint64
@@ -147,24 +129,10 @@ type Engine struct {
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose random
-// sources derive from seed, using the process-default event queue (see
-// SetDefaultQueue).
+// sources derive from seed.
 func NewEngine(seed uint64) *Engine {
-	return NewEngineQueue(seed, defaultQueue)
+	return &Engine{seed: seed, sources: make(map[string]*Source)}
 }
-
-// NewEngineQueue returns an engine backed by an explicit event-queue
-// implementation. The choice changes performance only: event order,
-// handles, and every observable stream are identical across kinds.
-func NewEngineQueue(seed uint64, k QueueKind) *Engine {
-	e := &Engine{seed: seed, sources: make(map[string]*Source)}
-	e.q = newQueue(e, k)
-	e.recycleFn = e.recycle
-	return e
-}
-
-// QueueKind reports which event-queue implementation backs this engine.
-func (e *Engine) QueueKind() QueueKind { return e.q.kind() }
 
 // Reset rewinds the engine to its just-constructed state for a new seed
 // while keeping every backing allocation: the heap's array, the node
@@ -178,19 +146,11 @@ func (e *Engine) QueueKind() QueueKind { return e.q.kind() }
 // Events still queued are discarded; their handles are invalidated by
 // the generation bump exactly as if they had been cancelled.
 func (e *Engine) Reset(seed uint64) {
-	e.q.drain(e.recycleFn)
-	for _, ev := range e.batch[e.batchPos:] {
+	for _, ev := range e.q.h {
 		ev.index = -1
-		if ev.fn == nil {
-			// Cancelled while batched: Cancel already bumped the
-			// generation; just retire the node.
-			e.free = append(e.free, ev)
-			continue
-		}
 		e.recycle(ev)
 	}
-	e.batch = e.batch[:0]
-	e.batchPos = 0
+	e.q.h = e.q.h[:0]
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
@@ -260,16 +220,6 @@ func (e *Engine) Cancel(ev Event) {
 	if e.trc != nil {
 		e.trc.EmitDetail(TCEngine, "cancel", n.label, LaneGlobal, int64(n.seq))
 	}
-	if n.index == batchIndex {
-		// Popped into the dispatch batch with its same-timestamp
-		// siblings: the batch owns the node, so invalidate it in place
-		// and let dispatch retire it without firing.
-		n.gen++
-		n.fn = nil
-		n.label = ""
-		e.cancelled++
-		return
-	}
 	e.q.remove(n)
 	e.recycle(n)
 	e.cancelled++
@@ -277,56 +227,30 @@ func (e *Engine) Cancel(ev Event) {
 
 // Step executes the single next event, advancing the clock. It reports
 // false when no events remain.
-//
-// Dispatch is batched by timestamp: when the earliest event has
-// same-instant siblings, one popRun moves the whole run into e.batch
-// and subsequent Steps fire from the buffer without a queue operation
-// each. The (at, seq) total order is preserved exactly — the run is
-// popped in order, and anything scheduled during dispatch carries a
-// higher seq, so it files behind the batch even at the same timestamp.
 func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	for {
-		for e.batchPos < len(e.batch) {
-			ev := e.batch[e.batchPos]
-			e.batch[e.batchPos] = nil
-			e.batchPos++
-			if ev.fn == nil {
-				// Cancelled while batched: retire without firing (the
-				// generation was bumped at cancel time).
-				ev.index = -1
-				e.free = append(e.free, ev)
-				continue
-			}
-			if ev.at < e.now {
-				panic("sim: event queue corrupted (time went backwards)")
-			}
-			ev.index = -1
-			e.now = ev.at
-			e.fired++
-			fn := ev.fn
-			if e.trc != nil {
-				e.trc.EmitDetail(TCEngine, "fire", ev.label, LaneGlobal, int64(ev.seq))
-			}
-			// Recycle before running fn: the callback may schedule
-			// follow-up events, and handing it this node keeps the pool
-			// at its steady-state size. The generation bump has already
-			// invalidated the fired event's own handle.
-			e.recycle(ev)
-			fn()
-			return true
-		}
-		e.batch = e.q.popRun(e.batch[:0])
-		e.batchPos = 0
-		if len(e.batch) == 0 {
-			return false
-		}
-		for _, ev := range e.batch {
-			ev.index = batchIndex
-		}
+	ev := e.q.pop()
+	if ev == nil {
+		return false
 	}
+	if ev.at < e.now {
+		panic("sim: event queue corrupted (time went backwards)")
+	}
+	e.now = ev.at
+	e.fired++
+	fn := ev.fn
+	if e.trc != nil {
+		e.trc.EmitDetail(TCEngine, "fire", ev.label, LaneGlobal, int64(ev.seq))
+	}
+	// Recycle before running fn: the callback may schedule follow-up
+	// events, and handing it this node keeps the pool at its
+	// steady-state size. The generation bump has already invalidated
+	// the fired event's own handle.
+	e.recycle(ev)
+	fn()
+	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -335,28 +259,11 @@ func (e *Engine) Run() {
 	}
 }
 
-// peekNext reports the next event to dispatch — the head of the current
-// same-timestamp batch (retiring cancelled entries on the way), else the
-// queue top. nil when nothing is pending.
-func (e *Engine) peekNext() *event {
-	for e.batchPos < len(e.batch) {
-		ev := e.batch[e.batchPos]
-		if ev.fn != nil {
-			return ev
-		}
-		e.batch[e.batchPos] = nil
-		e.batchPos++
-		ev.index = -1
-		e.free = append(e.free, ev)
-	}
-	return e.q.peek()
-}
-
 // RunUntil executes events with timestamps <= t, then sets the clock to t
 // (if it has not already passed it). Events scheduled exactly at t run.
 func (e *Engine) RunUntil(t Time) {
 	for !e.stopped {
-		m := e.peekNext()
+		m := e.q.peek()
 		if m == nil || m.at > t {
 			break
 		}
@@ -376,22 +283,13 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// Pending reports the number of queued events, including any popped
-// into the dispatch batch but not yet fired.
-func (e *Engine) Pending() int {
-	n := e.q.size()
-	for _, ev := range e.batch[e.batchPos:] {
-		if ev.fn != nil {
-			n++
-		}
-	}
-	return n
-}
+// Pending reports the number of queued events.
+func (e *Engine) Pending() int { return len(e.q.h) }
 
 // NextEventTime reports the timestamp of the earliest queued event, or
 // Forever when the queue is empty.
 func (e *Engine) NextEventTime() Time {
-	m := e.peekNext()
+	m := e.q.peek()
 	if m == nil {
 		return Forever
 	}

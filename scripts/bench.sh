@@ -5,8 +5,7 @@
 # Quick mode (default, used by `make bench` / `make check`):
 #   - runs the internal/sim engine microbenchmarks (ns/op, allocs/op),
 #     including the empirical-delta replays (ScheduleShortDelta,
-#     TimerChurn) that decide the heap-vs-wheel event queue question,
-#     plus the internal/vmm open-loop arrival benchmark
+#     TimerChurn), plus the internal/vmm open-loop arrival benchmark
 #   - times a fixed benchsuite smoke run (-exp table3 -seed 42 -parallel 1)
 #   - times the open-loop headline: coregapctl serving 500 krps offered
 #     into a 1 Mi-connection pool (openloop_500k_s), and records
@@ -17,8 +16,7 @@
 #   - guards the headline serial keys (smoke wall_s, all_parallel1_s,
 #     openloop_parallel4_s, openloop_500k_s) against the previous
 #     BENCH_N.json: >10% slower prints a LOUD regression warning
-#   - stamps provenance (git SHA, go version, GOOS/GOARCH, active event
-#     queue, snapshot forking on/off)
+#   - stamps provenance (git SHA, go version, GOOS/GOARCH)
 #   - preserves the "suite" section of an existing BENCH_8.json,
 #     seeding it from BENCH_7.json (or BENCH_6.json) the first time
 #
@@ -28,10 +26,6 @@
 #     -exp because -exp all grew the open-loop experiments) at
 #     -parallel 1, 2, 4 and 8, plus a -fresh serial run as the
 #     construction-cost baseline
-#   - A/Bs the serial suite along this PR's two axes: -snapshot=false
-#     (all_parallel1_nosnapshot_s) and -queue wheel
-#     (all_parallel1_wheel_s), so the boot-snapshot win and the
-#     queue-implementation decision stay measured, not asserted
 #   - times the open-loop experiments separately (openloop_parallel4_s)
 #     so their cost is visible without muddying the legacy trajectory
 #   - computes per-N parallel efficiency, eff(N) = p1 / (N * pN), and
@@ -46,12 +40,6 @@ set -e
 cd "$(dirname "$0")/.."
 
 BENCH_OUT=${BENCH_OUT:-BENCH_8.json}
-# QUEUE selects the event-queue implementation for the suite runs (the
-# provenance records it); SNAPSHOT=0 disables boot-snapshot forking.
-QUEUE=${QUEUE:-heap}
-SNAPSHOT=${SNAPSHOT:-1}
-SNAPFLAG="-snapshot=true"
-[ "$SNAPSHOT" = "1" ] || SNAPFLAG="-snapshot=false"
 # The experiment set every earlier BENCH_N.json called "all": the
 # paper's eleven artifacts, pre-open-loop. Keep timing exactly this set
 # under the all_parallel{N}_s keys so the trajectory stays comparable.
@@ -78,20 +66,20 @@ walltime() {
 }
 
 echo "bench: smoke run (table3, serial)..."
-SMOKE_S=$(walltime "$TMP/benchsuite" -exp table3 -seed 42 -parallel 1 -queue "$QUEUE" $SNAPFLAG)
+SMOKE_S=$(walltime "$TMP/benchsuite" -exp table3 -seed 42 -parallel 1)
 
 echo "bench: open-loop headline (coregapctl, 500 krps, 1Mi connections)..."
-OPENLOOP_500K_S=$(walltime "$TMP/coregapctl" -workload openloop -rate 500000 -clients 1048576 -queue "$QUEUE")
+OPENLOOP_500K_S=$(walltime "$TMP/coregapctl" -workload openloop -rate 500000 -clients 1048576)
 # Allocation totals at 1x and 5x the offered rate, same pool size: with
 # the zero-alloc request lifecycle the ratio stays far below the 5x a
 # per-request-allocating generator would show.
-"$TMP/coregapctl" -workload openloop -rate 100000 -clients 1048576 -queue "$QUEUE" -memstats \
+"$TMP/coregapctl" -workload openloop -rate 100000 -clients 1048576 -memstats \
     | grep '^memstats:' >"$TMP/mem100k.txt"
-"$TMP/coregapctl" -workload openloop -rate 500000 -clients 1048576 -queue "$QUEUE" -memstats \
+"$TMP/coregapctl" -workload openloop -rate 500000 -clients 1048576 -memstats \
     | grep '^memstats:' >"$TMP/mem500k.txt"
 
 echo "bench: runner self-metrics (table3, -parallel 2)..."
-"$TMP/benchsuite" -exp table3 -seed 42 -parallel 2 -queue "$QUEUE" $SNAPFLAG \
+"$TMP/benchsuite" -exp table3 -seed 42 -parallel 2 \
     -selfmetrics "$TMP/selfmetrics.json" >/dev/null
 
 GIT_SHA=$(git rev-parse HEAD 2>/dev/null || echo unknown)
@@ -102,22 +90,16 @@ SUITE_P2_S=""
 SUITE_P4_S=""
 SUITE_P8_S=""
 SUITE_FRESH_P1_S=""
-SUITE_NOSNAP_P1_S=""
-SUITE_WHEEL_P1_S=""
 OPENLOOP_P4_S=""
 if [ "${BENCH_FULL:-0}" = "1" ]; then
     echo "bench: legacy suite, fresh (pooling off), -parallel 1..."
-    SUITE_FRESH_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -fresh -queue "$QUEUE")
+    SUITE_FRESH_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -fresh)
     for n in 1 2 4 8; do
         echo "bench: legacy suite, pooled, -parallel $n..."
-        eval "SUITE_P${n}_S=\$(walltime \"$TMP/benchsuite\" -exp \"$LEGACY\" -seed 42 -parallel $n -queue \"$QUEUE\" $SNAPFLAG)"
+        eval "SUITE_P${n}_S=\$(walltime \"$TMP/benchsuite\" -exp \"$LEGACY\" -seed 42 -parallel $n)"
     done
-    echo "bench: legacy suite A/B, serial, snapshot forking off..."
-    SUITE_NOSNAP_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -queue "$QUEUE" -snapshot=false)
-    echo "bench: legacy suite A/B, serial, timing-wheel queue..."
-    SUITE_WHEEL_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -queue wheel $SNAPFLAG)
     echo "bench: open-loop experiments, pooled, -parallel 4..."
-    OPENLOOP_P4_S=$(walltime "$TMP/benchsuite" -exp openloop,openloop-burst -seed 42 -parallel 4 -queue "$QUEUE" $SNAPFLAG)
+    OPENLOOP_P4_S=$(walltime "$TMP/benchsuite" -exp openloop,openloop-burst -seed 42 -parallel 4)
 fi
 
 MICRO="$TMP/micro.txt" SMOKE_S="$SMOKE_S" \
@@ -125,11 +107,9 @@ OPENLOOP_500K_S="$OPENLOOP_500K_S" \
 MEM100K="$TMP/mem100k.txt" MEM500K="$TMP/mem500k.txt" \
 SELFMETRICS="$TMP/selfmetrics.json" \
 GIT_SHA="$GIT_SHA" GO_VERSION="$GO_VERSION" \
-QUEUE="$QUEUE" SNAPSHOT="$SNAPSHOT" \
 SUITE_P1_S="$SUITE_P1_S" SUITE_P2_S="$SUITE_P2_S" \
 SUITE_P4_S="$SUITE_P4_S" SUITE_P8_S="$SUITE_P8_S" \
 SUITE_FRESH_P1_S="$SUITE_FRESH_P1_S" OPENLOOP_P4_S="$OPENLOOP_P4_S" \
-SUITE_NOSNAP_P1_S="$SUITE_NOSNAP_P1_S" SUITE_WHEEL_P1_S="$SUITE_WHEEL_P1_S" \
 BENCH_OUT="$BENCH_OUT" \
 python3 - <<'PYEOF'
 import json, os, re
@@ -223,10 +203,6 @@ for n in (1, 2, 4, 8):
         suite[f"all_parallel{n}_s"] = walls[n]
 if os.environ.get("SUITE_FRESH_P1_S", ""):
     suite["all_fresh_parallel1_s"] = float(os.environ["SUITE_FRESH_P1_S"])
-if os.environ.get("SUITE_NOSNAP_P1_S", ""):
-    suite["all_parallel1_nosnapshot_s"] = float(os.environ["SUITE_NOSNAP_P1_S"])
-if os.environ.get("SUITE_WHEEL_P1_S", ""):
-    suite["all_parallel1_wheel_s"] = float(os.environ["SUITE_WHEEL_P1_S"])
 if os.environ.get("OPENLOOP_P4_S", ""):
     suite["openloop_parallel4_s"] = float(os.environ["OPENLOOP_P4_S"])
 if os.environ.get("OPENLOOP_500K_S", ""):
@@ -308,8 +284,6 @@ doc = {
     "provenance": {
         "git_sha": os.environ.get("GIT_SHA", "unknown"),
         "go_version": os.environ.get("GO_VERSION", "unknown"),
-        "queue": os.environ.get("QUEUE", "heap"),
-        "snapshot_forking": os.environ.get("SNAPSHOT", "1") == "1",
     },
     # Efficiency is relative to the measuring host; on a single-CPU
     # host every eff(N>1) is bounded by 1/N and the scaling warning is
@@ -317,9 +291,9 @@ doc = {
     "host_cpus": os.cpu_count(),
     "commands": {
         "micro": "go test -bench 'BenchmarkSchedule$|BenchmarkCancel$|BenchmarkChurn$|BenchmarkScheduleShortDelta$|BenchmarkTimerChurn$' -benchmem ./internal/sim + go test -bench BenchmarkOpenLoopArrivals$ -benchmem ./internal/vmm",
-        "smoke": "benchsuite -exp table3 -seed 42 -parallel 1 -queue <queue>",
+        "smoke": "benchsuite -exp table3 -seed 42 -parallel 1",
         "openloop_500k": "coregapctl -workload openloop -rate {100000,500000} -clients 1048576 [-memstats]",
-        "suite": "benchsuite -exp <legacy 11 experiments> -seed 42 -parallel {1,2,4,8} -queue <queue> [+ -fresh | -snapshot=false | -queue wheel at -parallel 1]",
+        "suite": "benchsuite -exp <legacy 11 experiments> -seed 42 -parallel {1,2,4,8} [+ -fresh at -parallel 1]",
         "openloop": "benchsuite -exp openloop,openloop-burst -seed 42 -parallel 4",
         "runner": "benchsuite -exp table3 -seed 42 -parallel 2 -selfmetrics <file>",
     },
@@ -334,7 +308,7 @@ print(f"bench: wrote {out}")
 PYEOF
 
 # The gate half of `make bench`: the steady-state schedule/fire path —
-# both queue implementations, tracing off and on, including Engine.Reset
+# tracing off and on, including Engine.Reset
 # reuse — must stay allocation-free, the streaming recorder's record
 # path must stay allocation-free once its pages are faulted in, the
 # open-loop generator's steady state (arrivals, delivery, response
