@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the full gate: gofmt, vet, build,
 # a fast race pass over the runner and engine, full race-enabled tests,
 # a benchsuite smoke run, a traced-run smoke (Chrome trace export), the
-# perf smoke (microbenchmarks + allocation gates -> BENCH_7.json, no
+# perf smoke (microbenchmarks + allocation gates -> BENCH_8.json, no
 # wall-clock thresholds) and an end-to-end determinism check (serial CSV
 # output == 8-way parallel CSV output).
 
@@ -67,7 +67,7 @@ determinism:
 	echo "determinism: serial and parallel CSVs and counter banks identical"
 
 # Perf trajectory: engine microbenchmarks + a fixed benchsuite smoke
-# run, recorded in BENCH_7.json. A smoke, not a threshold — except the
+# run, recorded in BENCH_8.json. A smoke, not a threshold — except the
 # zero-alloc gates, which fail the build on regression. bench-full also
 # re-measures the full-suite wall clock (minutes).
 bench:

@@ -27,12 +27,14 @@ import (
 // accumulated sum.
 //
 // This is what makes lazy µarch fills (internal/uarch) exact and cheap:
-// a fill that would consume n tag draws records Mark() — the unresolved
-// anchor state and lag — plus its offset in the batch, and the batch
-// calls Skip(total). Every later consumer of the shared stream sees
-// precisely the state the draws would have produced, while the fill's
-// values are only materialized (by replay from the anchor) if an
-// entry-level reader ever looks.
+// a batch of fills that would consume n tag draws — one Touch across a
+// core's structures, or one LLC fill — records Mark(), the unresolved
+// anchor state and lag, once, in one fill record its buffers share, and
+// calls Skip(n). A buffer's draws start at the record's lag plus the
+// draws of the buffers before it in the batch. Every later consumer of
+// the shared stream sees precisely the state the draws would have
+// produced, while a buffer's values are only materialized (by replay
+// from the anchor) if an entry-level reader ever looks.
 
 // xoMatrix is a 256x256 GF(2) matrix stored as 256 columns, each a
 // 256-bit vector in 4 uint64 limbs: column i is M applied to unit

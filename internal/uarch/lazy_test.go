@@ -37,7 +37,7 @@ func eagerTouchShared(ss *SharedState, d DomainID, footprint float64, usesStagin
 	if footprint > 1 {
 		footprint = 1
 	}
-	n := int(footprint * float64(ss.llc.Cap()) / float64(ss.llcWays))
+	n := int(footprint * float64(ss.llc.Cap()) / float64(len(ss.wayOwner)))
 	if free := ss.llc.Cap() - ss.llc.Len(); n > free {
 		evicted = n - free
 	}
@@ -86,12 +86,13 @@ func sameEntries(t *testing.T, what string, got, want []Entry) {
 
 // TestLazyMatchesEagerProperty drives two cores and the shared state,
 // all on one tag stream, through a seeded random schedule of Touch,
-// TouchShared, Residue, SecretCount, FlushDomain, Insert and Flush,
-// against a reference that draws every entry at fill time — per-core
-// fills and LLC fills alike. Deferred fills and deferred skips must be
-// invisible: the same entries, Len and CountDomain after every step, the
-// same SecretCount and Residue whenever they are read, and the same next
-// stream draw.
+// TouchShared, Residue, SecretCount, FlushDomain, Insert and Flush —
+// plus the partial-group and whole-group flushes of a core's shared
+// fill log: FlushMitigations, FlushAll and Reset — against a reference
+// that draws every entry at fill time, per-core fills and LLC fills
+// alike. Deferred fills and deferred skips must be invisible: the same
+// entries, Len and CountDomain after every step, the same SecretCount
+// and Residue whenever they are read, and the same next stream draw.
 func TestLazyMatchesEagerProperty(t *testing.T) {
 	domains := []DomainID{DomainHost, DomainMonitor, Guest(0), Guest(1)}
 	footprints := []float64{0, 0.001, 0.02, 0.08, 0.3, 0.7, 1, 1.2}
@@ -113,7 +114,7 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 			c := sched.Intn(2)
 			k := StructKind(sched.Intn(int(sharedKindsStart)))
 			lb, eb := lazy[c].bufs[k], eager[c][k]
-			switch op := sched.Intn(13); {
+			switch op := sched.Intn(16); {
 			case op < 4:
 				d, fp := pick(), footprints[sched.Intn(len(footprints))]
 				frac := 0.0
@@ -136,7 +137,7 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 				lb.FlushDomain(d)
 				eb.FlushDomain(d)
 			case op == 8:
-				// Secret base entries under later plain runs exercise
+				// Secret base entries under later plain fills exercise
 				// SecretCount's window arithmetic.
 				d, secret := pick(), sched.Intn(2) == 0
 				if sched.Intn(2) == 0 {
@@ -168,6 +169,21 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 				r := pick()
 				for _, p := range sharedPairs() {
 					sameEntries(t, "shared "+p[0].kind.String()+" Residue", p[0].Residue(r), p[1].Residue(r))
+				}
+			case op == 13:
+				lazy[c].FlushMitigations(DefaultFlushCosts())
+				for _, kk := range mitigationKinds {
+					eager[c][kk].Flush()
+				}
+			case op == 14:
+				lazy[c].FlushAll(DefaultFlushCosts())
+				for _, e := range eager[c] {
+					e.Flush()
+				}
+			case op == 15:
+				lazy[c].Reset()
+				for _, e := range eager[c] {
+					e.Reset()
 				}
 			default:
 				// Aggregates only: no materialization, no stream draw.
@@ -257,6 +273,58 @@ func TestTouchDefersStream(t *testing.T) {
 	}
 }
 
+// liveSpan reports how many of the log's newest records b would still
+// replay once its overwritten fills were retired: the records back to
+// the first one that, with everything newer, covers the whole ring.
+func liveSpan(b *Buffer) int {
+	if b.pend == 0 {
+		return 0
+	}
+	l := b.log
+	span, newer := 0, 0
+	for i := len(l.fills) - 1; i >= int(b.oldest-l.base) && newer < b.cap; i-- {
+		newer += l.count(l.fills[i].fp, b.cap)
+		span++
+	}
+	return span
+}
+
+// TestFillLogBounded: retirement is deferred, so nothing retires a
+// fill at push time; log compaction must still keep a core's log at
+// most twice the longest live span any of its buffers has had, plus
+// the record being pushed, over a long schedule that mixes tiny and
+// whole-structure footprints, secret fills, partial flushes and reads
+// that materialize one buffer.
+func TestFillLogBounded(t *testing.T) {
+	cs, src, sched := NewCoreState(), sim.NewSource(3), sim.NewSource(4)
+	footprints := []float64{0.0005, 0.002, 0.02, 0.05, 0.35, 1}
+	longest := 0
+	const steps = 20000
+	for step := 0; step < steps; step++ {
+		switch op := sched.Intn(40); {
+		case op == 0:
+			cs.FlushMitigations(DefaultFlushCosts())
+		case op == 1:
+			cs.Buffer(StructKind(sched.Intn(int(sharedKindsStart)))).Residue(DomainHost)
+		default:
+			frac := 0.0
+			if op%2 == 0 {
+				frac = 0.5
+			}
+			cs.Touch(Guest(op%3), footprints[sched.Intn(len(footprints))], frac, src)
+		}
+		for _, b := range cs.bufs {
+			longest = max(longest, liveSpan(b))
+		}
+		if n := len(cs.log.fills); n > 2*longest+1 {
+			t.Fatalf("step %d: log holds %d records, longest live span %d", step, n, longest)
+		}
+	}
+	if n := cap(cs.log.fills); n >= steps/4 {
+		t.Fatalf("log capacity %d after %d steps: records are not being dropped", n, steps)
+	}
+}
+
 // TestTouchZeroAllocs gates the hot path: a warmed core touches without
 // allocating.
 func TestTouchZeroAllocs(t *testing.T) {
@@ -272,6 +340,25 @@ func TestTouchZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, touch); avg != 0 {
 		t.Fatalf("Touch allocates %.2f times per call, want 0", avg)
+	}
+}
+
+// TestTouchSharedZeroAllocs gates the LLC's fill log the same way: a
+// warmed SharedState fills the LLC and the staging buffer without
+// allocating.
+func TestTouchSharedZeroAllocs(t *testing.T) {
+	ss, src := NewSharedState(8192, 16), sim.NewSource(1)
+	fps := []float64{0.05, 0.3, 0.002, 1}
+	i := 0
+	touch := func() {
+		ss.TouchShared(Guest(i%3), fps[i%len(fps)], i%2 == 0, src)
+		i++
+	}
+	for j := 0; j < 1000; j++ {
+		touch()
+	}
+	if avg := testing.AllocsPerRun(1000, touch); avg != 0 {
+		t.Fatalf("TouchShared allocates %.2f times per call, want 0", avg)
 	}
 }
 
@@ -329,6 +416,24 @@ func BenchmarkTouch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs.Touch(Guest(i%3), fps[i%len(fps)], float64(i%2)*0.5, src)
+	}
+}
+
+// BenchmarkTouchManyCores touches 64 cores in rotation at footprints
+// 0.35, 0.02 and 0.05, as a 63-core Fig. 6 sweep does, so a core's fill
+// state has left the cache by the time it is touched again — which
+// BenchmarkTouch, with one core always resident, never sees.
+func BenchmarkTouchManyCores(b *testing.B) {
+	cores := make([]*CoreState, 64)
+	for i := range cores {
+		cores[i] = NewCoreState()
+	}
+	src := sim.NewSource(1)
+	fps := []float64{0.35, 0.02, 0.05}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cores[i%len(cores)].Touch(Guest(i%3), fps[i%len(fps)], 0, src)
 	}
 }
 

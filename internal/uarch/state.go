@@ -29,6 +29,7 @@ var defaultSizes = map[StructKind]int{
 // CoreState is the per-core microarchitectural state.
 type CoreState struct {
 	bufs [sharedKindsStart]*Buffer
+	log  fillLog // the deferred fills of bufs, one record per Touch
 	// lastDomain is the domain that most recently executed; a change
 	// means a same-core context switch between security domains occurred.
 	lastDomain DomainID
@@ -39,8 +40,11 @@ type CoreState struct {
 func NewCoreState() *CoreState {
 	cs := &CoreState{}
 	for k := StructKind(0); k < sharedKindsStart; k++ {
-		cs.bufs[k] = NewBuffer(k, defaultSizes[k])
+		b := NewBuffer(k, defaultSizes[k])
+		b.log, b.slot = &cs.log, int(k)
+		cs.bufs[k] = b
 	}
+	cs.log.bufs = cs.bufs[:]
 	return cs
 }
 
@@ -51,6 +55,7 @@ func (cs *CoreState) Reset() {
 	for k := StructKind(0); k < sharedKindsStart; k++ {
 		cs.bufs[k].Reset()
 	}
+	cs.log.reset()
 	cs.lastDomain = DomainNone
 	cs.switches = 0
 }
@@ -87,19 +92,21 @@ func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *si
 	if footprint > 1 {
 		footprint = 1
 	}
-	// Record one lazy fillRun per structure and advance the shared tag
-	// stream once for the whole batch. Stream consumption is identical
-	// to the historical eager loop — buffers fill in kind order, one
+	// Append one lazy fill record for the whole batch, shared by every
+	// structure, and advance the shared tag stream once. Stream
+	// consumption is identical to the historical eager loop — buffers
+	// fill in kind order, max(1, footprint × cap) entries each, one
 	// Uint64 per entry (Float64+Uint64 when secret-tagged) — so every
 	// later consumer of tagSrc sees exactly the state the eager fills
 	// would have left, and materialization replays exactly the values
 	// they would have written. Touch is the simulator's single hottest
-	// loop (every execution slice on every core lands here, with n up
-	// to the 16K-entry L2). Each run records the stream's unresolved
-	// anchor and its lag plus the draws of the runs before it, and the
-	// batch's Skip only adds to the lag, so Touch pays for no draws and
-	// no jump: the jump is resolved only if something observes the
-	// stream or materializes a run.
+	// loop (every execution slice on every core lands here, with up to
+	// 16K entries for the L2). The record holds the stream's unresolved
+	// anchor and lag; each buffer re-derives its count and its offset
+	// in the batch from the footprint. The batch's Skip only adds to
+	// the lag, so Touch pays for no draws and no jump: the jump is
+	// resolved only if something observes the stream or materializes a
+	// fill.
 	anchor, lag := tagSrc.Mark()
 	drawsPer := uint64(1)
 	frac := -1.0
@@ -107,17 +114,8 @@ func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *si
 		drawsPer = 2
 		frac = secretFrac
 	}
-	var skip uint64
-	for k := StructKind(0); k < sharedKindsStart; k++ {
-		b := cs.bufs[k]
-		n := int(footprint * float64(b.cap))
-		if n == 0 {
-			n = 1
-		}
-		b.pushFill(d, n, frac, anchor, lag+skip)
-		skip += drawsPer * uint64(n)
-	}
-	tagSrc.Skip(skip)
+	n := cs.log.push(fill{anchor: anchor, lag: lag, fp: footprint, frac: frac, domain: d})
+	tagSrc.Skip(drawsPer * uint64(n))
 }
 
 // Warmth reports the fraction of per-core cache/TLB/predictor capacity
@@ -154,6 +152,7 @@ func (cs *CoreState) FlushAll(costs FlushCosts) sim.Duration {
 		cs.bufs[k].Flush()
 		total += costs.Of(k)
 	}
+	cs.log.reset()
 	return total
 }
 
@@ -163,12 +162,15 @@ func (cs *CoreState) FlushAll(costs FlushCosts) sim.Duration {
 // returns its time cost.
 func (cs *CoreState) FlushMitigations(costs FlushCosts) sim.Duration {
 	var total sim.Duration
-	for _, k := range []StructKind{BTB, RSB, StoreBuffer, FillBuffer, LoadPort, FPURegs, UopCache} {
+	for _, k := range mitigationKinds {
 		cs.bufs[k].Flush()
 		total += costs.Of(k)
 	}
 	return total
 }
+
+// mitigationKinds are the structures FlushMitigations flushes.
+var mitigationKinds = [...]StructKind{BTB, RSB, StoreBuffer, FillBuffer, LoadPort, FPURegs, UopCache}
 
 // ResidueFor reports, per structure, foreign entries visible to reader.
 func (cs *CoreState) ResidueFor(reader DomainID) map[StructKind][]Entry {
@@ -212,7 +214,7 @@ func DefaultFlushCosts() FlushCosts {
 // SharedState is the socket-level state shared by all cores.
 type SharedState struct {
 	llc         *Buffer
-	llcWays     int
+	llcLog      fillLog // the LLC's deferred fills, one record per TouchShared
 	partitioned bool
 	// wayOwner maps LLC way index -> domain when partitioning is enabled.
 	wayOwner []DomainID
@@ -225,12 +227,15 @@ func NewSharedState(llcEntries, llcWays int) *SharedState {
 	if llcWays <= 0 {
 		llcWays = 16
 	}
-	return &SharedState{
+	ss := &SharedState{
 		llc:      NewBuffer(LLC, llcEntries),
-		llcWays:  llcWays,
+		llcLog:   fillLog{ways: llcWays},
 		wayOwner: make([]DomainID, llcWays),
 		staging:  NewBuffer(Staging, 32),
 	}
+	ss.llc.log = &ss.llcLog
+	ss.llcLog.bufs = []*Buffer{ss.llc}
+	return ss
 }
 
 // Reset empties the LLC and staging buffer, disables partitioning, and
@@ -238,6 +243,7 @@ func NewSharedState(llcEntries, llcWays int) *SharedState {
 // have, minus the allocations.
 func (ss *SharedState) Reset() {
 	ss.llc.Reset()
+	ss.llcLog.reset()
 	ss.staging.Reset()
 	ss.partitioned = false
 	clear(ss.wayOwner)
@@ -257,9 +263,12 @@ func (ss *SharedState) EnablePartitioning() { ss.partitioned = true }
 // Partitioned reports whether LLC way-partitioning is enabled.
 func (ss *SharedState) Partitioned() bool { return ss.partitioned }
 
-// AssignWays gives n LLC ways to domain d; returns false when fewer than
-// n ways remain unassigned.
+// AssignWays gives n LLC ways to domain d; returns false, assigning
+// nothing, when n is negative or fewer than n ways remain unassigned.
 func (ss *SharedState) AssignWays(d DomainID, n int) bool {
+	if n < 0 {
+		return false
+	}
 	free := 0
 	for _, o := range ss.wayOwner {
 		if o == DomainNone {
@@ -303,21 +312,20 @@ func (ss *SharedState) ReleaseWays(d DomainID) {
 // from a partitioned reader. (SetAssocCache models the way-confined
 // placement itself.)
 //
-// The LLC fill is lazy, like Touch's: one deferred run anchored at the
-// tag stream's mark, after which the stream skips the fill's n draws,
-// so stream consumption and ring positions are exactly those of n
-// eager Inserts.
+// The LLC fill is lazy, like Touch's: one fill record in the LLC's own
+// log, anchored at the tag stream's mark, after which the stream skips
+// the fill's n draws, so stream consumption and ring positions are
+// exactly those of n eager Inserts.
 func (ss *SharedState) TouchShared(d DomainID, footprint float64, usesStaging bool, tagSrc *sim.Source) (evicted int) {
 	if footprint > 1 {
 		footprint = 1
 	}
-	n := int(footprint * float64(ss.llc.Cap()) / float64(ss.llcWays))
-	if n > 0 {
-		if free := ss.llc.Cap() - ss.llc.Len(); n > free {
+	if n := ss.llcLog.count(footprint, ss.llc.cap); n > 0 {
+		if free := ss.llc.cap - ss.llc.Len(); n > free {
 			evicted = n - free
 		}
 		anchor, lag := tagSrc.Mark()
-		ss.llc.pushFill(d, n, -1, anchor, lag)
+		ss.llcLog.push(fill{anchor: anchor, lag: lag, fp: footprint, frac: -1, domain: d})
 		tagSrc.Skip(uint64(n))
 	}
 	if usesStaging {

@@ -134,52 +134,44 @@ type Entry struct {
 // policy does not affect any security verdict, only warmth decay shape.
 //
 // Bulk fills — Touch's per-core fills and TouchShared's LLC fill — are
-// LAZY: each is recorded as a fillRun holding the domain, the count, and
-// where its tags start in the shared tag stream — an anchor state from
-// Source.Mark plus the number of draws past it. The filler only defers
-// those draws with Source.Skip, so neither the per-entry draws nor the
-// jump over them happen at fill time. The entries are built only if an
+// LAZY. One batch appends one fill record to the fillLog its buffers
+// share (a core's per-core structures, or the LLC alone): the domain,
+// the footprint, the secret fraction, and where the batch's tags start
+// in the shared tag stream — an anchor state from Source.Mark plus the
+// draws past it. The filler only defers the batch's draws with
+// Source.Skip, so neither the per-entry draws nor the jump over them
+// happen at fill time. A buffer re-derives its entry count for a fill
+// from the footprint, and its draw offset inside the fill from the
+// counts of the slots before it. The entries are built only if an
 // entry-level reader — Residue, Insert, FlushDomain — ever looks:
-// materialize replays each run from its anchor and reconstructs entries
-// byte-identically to the eager fill. Aggregate readers — Len, CountDomain, Occupancy, and through them
-// Warmth — are answered from ring-interval arithmetic over the runs
-// without materializing, which is what removes the fill loops from the
-// simulator's hottest path. SecretCount is answered the same way while
-// every live run is plain (plain runs hold no secrets).
+// materialize replays each live fill from its anchor and reconstructs
+// entries byte-identically to the eager fill. Aggregate readers — Len,
+// CountDomain, Occupancy, and through them Warmth — are answered from
+// ring-interval arithmetic over the fills without materializing, which
+// is what removes the fill loops from the simulator's hottest path.
+// SecretCount is answered the same way while every live fill is plain
+// (plain fills hold no secrets).
 type Buffer struct {
 	kind    StructKind
 	cap     int
 	entries []Entry // materialized prefix; ring position == index
 	next    int     // FIFO replacement cursor of the materialized prefix
 
-	// Deferred fills, oldest first, are runs[head:]; runs[:head] are
-	// dead (fully overwritten) and are compacted away by pushFill.
-	// While pend > 0 the buffer's true state is (entries, next) with
-	// every live run replayed on top; vlen and vnext track the Len/next
-	// that replay would produce.
-	runs  []fillRun
-	head  int
-	pend  int // total entries across live runs
-	vlen  int
-	vnext int
+	// Deferred fills are the log's records from absolute index oldest
+	// on; this buffer's share of record oldest starts at ring position
+	// oldestStart. Records that later fills have fully overwritten are
+	// retired (oldest advanced past them) lazily, by retire. While
+	// pend > 0 the buffer's true state is (entries, next) with every
+	// fill from oldest on replayed on top; vlen and vnext track the
+	// Len/next that replay would produce.
+	log         *fillLog
+	slot        int // index among the log's buffers
+	oldest      uint64
+	oldestStart int
+	pend        int // total entries across fills from oldest on
+	vlen        int
+	vnext       int
 }
-
-// fillRun is one deferred bulk fill: n entries by domain, whose tags
-// replay from anchor src after skip draws (the stream's lag when the
-// Touch began plus the draws of earlier runs in the same batch).
-// secretFrac < 0 marks a plain fill (one draw per entry); >= 0 a
-// secret fill (two).
-type fillRun struct {
-	src        [4]uint64
-	skip       uint64
-	n          int32
-	start      int32 // ring cursor where the run's first entry lands
-	domain     DomainID
-	secretFrac float64
-}
-
-// live returns the runs that have not been overwritten.
-func (b *Buffer) live() []fillRun { return b.runs[b.head:] }
 
 // NewBuffer returns an empty buffer of the given capacity.
 func NewBuffer(kind StructKind, capacity int) *Buffer {
@@ -225,25 +217,23 @@ func (b *Buffer) Insert(e Entry) (evicted Entry) {
 }
 
 // CountDomain reports how many entries belong to d. With fills pending
-// it is answered from run arithmetic: each run's surviving entry count
-// is its length minus however much the entries written after it wrapped
-// around the ring into it, and base entries count only where the runs'
+// it is answered from fill arithmetic: walking from the newest fill
+// back, each fill's surviving entry count is its length capped by the
+// ring space the newer fills left, and the walk stops at the first
+// fully overwritten fill. Base entries count only where the fills'
 // combined write window has not overwritten them.
 func (b *Buffer) CountDomain(d DomainID) int {
 	n := 0
 	if b.pend > 0 {
+		l := b.log
 		newer := 0
-		runs := b.live()
-		for i := len(runs) - 1; i >= 0; i-- {
-			r := &runs[i]
-			vis := int(r.n)
-			if over := newer - (b.cap - vis); over > 0 {
-				vis -= over
+		for i := len(l.fills) - 1; i >= int(b.oldest-l.base) && newer < b.cap; i-- {
+			f := &l.fills[i]
+			fn := l.count(f.fp, b.cap)
+			if f.domain == d {
+				n += min(fn, b.cap-newer)
 			}
-			if vis > 0 && r.domain == d {
-				n += vis
-			}
-			newer += int(r.n)
+			newer += fn
 		}
 		wstart, covered := b.window()
 		for p, e := range b.entries {
@@ -268,7 +258,7 @@ func (b *Buffer) CountDomain(d DomainID) int {
 	return n
 }
 
-// window reports the ring interval the live runs write over, as its
+// window reports the ring interval the pending fills write over, as its
 // start position and length: a base entry at position p survives the
 // replay exactly when (p - wstart) mod cap >= covered.
 func (b *Buffer) window() (wstart, covered int) {
@@ -278,7 +268,7 @@ func (b *Buffer) window() (wstart, covered int) {
 	}
 	wstart = b.vnext - covered
 	if b.vlen < b.cap {
-		// Still in the append phase: the runs occupy the tail
+		// Still in the append phase: the fills occupy the tail
 		// [vlen-covered, vlen) and never wrapped over the base.
 		wstart = b.vlen - covered
 	}
@@ -289,20 +279,24 @@ func (b *Buffer) window() (wstart, covered int) {
 }
 
 // SecretCount reports how many of d's entries are secret-tagged. Plain
-// runs hold no secrets, so while every live run is plain it counts only
-// the base entries outside the runs' write window, as CountDomain does;
-// a pending secret run is materialized first. It never allocates once
-// the buffer's entries have grown to its capacity.
+// fills hold no secrets, so while every live fill is plain it counts
+// only the base entries outside the fills' write window, as CountDomain
+// does; a pending secret fill is materialized first. It never allocates
+// once the buffer's entries have grown to its capacity.
 func (b *Buffer) SecretCount(d DomainID) int {
-	for _, r := range b.live() {
-		if r.secretFrac >= 0 {
-			b.materialize()
-			break
-		}
-	}
 	wstart, covered := 0, 0
 	if b.pend > 0 {
-		wstart, covered = b.window()
+		b.retire()
+		l := b.log
+		for i := int(b.oldest - l.base); i < len(l.fills); i++ {
+			if l.fills[i].frac >= 0 {
+				b.materialize()
+				break
+			}
+		}
+		if b.pend > 0 {
+			wstart, covered = b.window()
+		}
 	}
 	n := 0
 	for p, e := range b.entries {
@@ -354,12 +348,11 @@ func (b *Buffer) SecretResidue(reader DomainID) []Entry {
 // Flush removes all entries (architectural flush, e.g. verw/DSB-style).
 // Pending fills are dropped unmaterialized — their tag draws were
 // consumed from the stream at fill time, exactly as an eager fill's
-// would have been.
+// would have been. The fill records stay in the log for the buffers
+// that share it; this buffer's next fill starts a new oldest.
 func (b *Buffer) Flush() {
 	b.entries = b.entries[:0]
 	b.next = 0
-	b.runs = b.runs[:0]
-	b.head = 0
 	b.pend = 0
 	b.vlen = 0
 	b.vnext = 0
@@ -390,78 +383,72 @@ func (b *Buffer) FlushDomain(d DomainID) {
 	}
 }
 
-// pushFill records a deferred bulk fill of n entries by domain d whose
-// tags derive from anchor state src after skip draws. The caller is
-// responsible for advancing the live stream (Source.Skip) by exactly
-// the draws the fill would have consumed.
-func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, src [4]uint64, skip uint64) {
-	if b.pend == 0 {
-		b.vlen, b.vnext = len(b.entries), b.next
-	}
-	start := b.vlen
-	if b.vlen == b.cap {
-		start = b.vnext
-	}
-	// Compact only when append would otherwise grow the slice, and only
-	// when at least half of it is dead, so the copies amortize to O(1)
-	// per fill; otherwise let append grow it.
-	if len(b.runs) == cap(b.runs) && b.head > 0 && 2*b.head >= len(b.runs) {
-		b.runs = b.runs[:copy(b.runs, b.live())]
-		b.head = 0
-	}
-	b.runs = append(b.runs, fillRun{
-		src: src, skip: skip, n: int32(n), start: int32(start),
-		domain: d, secretFrac: secretFrac,
-	})
-	b.pend += n
-	if b.vlen += n; b.vlen >= b.cap {
-		b.vlen = b.cap
-		b.vnext = start + n
-		for b.vnext >= b.cap {
-			b.vnext -= b.cap
+// retire advances oldest past the fills that everything recorded after
+// them has fully overwritten: their entries will never be observed, and
+// the draws they consumed are already accounted for in the stream. It
+// walks back from the newest fill until the fills it has passed cover
+// the ring, so its cost is the live span, not the number of fills
+// retired; the fill where the walk stops is the oldest one kept, and it
+// starts that many entries before the cursor the newest fill left.
+// Retirement is deferred to the readers that replay (materialize,
+// SecretCount) and to log compaction, so a fill costs no read of an
+// older record.
+func (b *Buffer) retire() {
+	l := b.log
+	i, kept := len(l.fills)-1, 0
+	for lo := int(b.oldest - l.base); ; i-- {
+		kept += l.count(l.fills[i].fp, b.cap)
+		if kept >= b.cap || i == lo {
+			break
 		}
-	} else {
-		b.vnext = 0
 	}
-	// Slide the window: runs fully overwritten by everything recorded
-	// after them will never be observed, so retire them (and their
-	// replay cost) now by advancing head. The draws they consumed are
-	// already accounted for in the stream.
-	for b.head < len(b.runs)-1 && b.pend-int(b.runs[b.head].n) >= b.cap {
-		b.pend -= int(b.runs[b.head].n)
-		b.head++
+	cursor := b.vnext
+	if b.vlen < b.cap {
+		cursor = b.vlen
+	}
+	b.oldest, b.pend = l.base+uint64(i), kept
+	for b.oldestStart = cursor - kept; b.oldestStart < 0; {
+		b.oldestStart += b.cap
 	}
 }
 
-// materialize replays every live run, reconstructing the exact entries
-// an eager fill would have produced: each run's tag stream is restored
-// from its recorded anchor, advanced by its recorded skip (resolved by
-// the first draw), and its entries written at their recorded ring
-// positions. Runs retired by the sliding window are not replayed; the
-// entries they wrote are provably overwritten by the live runs.
+// materialize replays every live fill, reconstructing the exact entries
+// an eager fill would have produced: each fill's tag stream is restored
+// from its recorded anchor, advanced by its lag plus the draws of the
+// slots before this buffer's (resolved by the first draw), and the
+// buffer's entries written from the ring position where the previous
+// fill stopped. Retired fills are not replayed; the entries they wrote
+// are provably overwritten by the live ones.
 func (b *Buffer) materialize() {
+	b.retire()
 	for len(b.entries) < b.vlen {
 		b.entries = append(b.entries, Entry{})
 	}
-	runs := b.live()
-	for ri := range runs {
-		r := &runs[ri]
+	l := b.log
+	pos := b.oldestStart
+	for i := int(b.oldest - l.base); i < len(l.fills); i++ {
+		f := &l.fills[i]
+		var skip uint64
+		for _, o := range l.bufs[:b.slot] {
+			skip += uint64(l.count(f.fp, o.cap))
+		}
+		n := l.count(f.fp, b.cap)
 		var s sim.Source
-		s.SetState(r.src)
-		s.Skip(r.skip)
-		pos := int(r.start)
-		if r.secretFrac < 0 {
-			for i := 0; i < int(r.n); i++ {
-				b.entries[pos] = Entry{Domain: r.domain, Tag: s.Uint64()}
+		s.SetState(f.anchor)
+		if f.frac < 0 {
+			s.Skip(f.lag + skip)
+			for j := 0; j < n; j++ {
+				b.entries[pos] = Entry{Domain: f.domain, Tag: s.Uint64()}
 				pos++
 				if pos == b.cap {
 					pos = 0
 				}
 			}
 		} else {
-			for i := 0; i < int(r.n); i++ {
-				secret := s.Float64() < r.secretFrac
-				b.entries[pos] = Entry{Domain: r.domain, Secret: secret, Tag: s.Uint64()}
+			s.Skip(f.lag + 2*skip)
+			for j := 0; j < n; j++ {
+				secret := s.Float64() < f.frac
+				b.entries[pos] = Entry{Domain: f.domain, Secret: secret, Tag: s.Uint64()}
 				pos++
 				if pos == b.cap {
 					pos = 0
@@ -470,7 +457,5 @@ func (b *Buffer) materialize() {
 		}
 	}
 	b.next = b.vnext
-	b.runs = b.runs[:0]
-	b.head = 0
 	b.pend = 0
 }

@@ -292,6 +292,26 @@ func TestLLCPartitioning(t *testing.T) {
 	}
 }
 
+// TestAssignWaysRejectsNegative: a negative way count is refused and
+// assigns nothing, rather than handing d every free way.
+func TestAssignWaysRejectsNegative(t *testing.T) {
+	ss := NewSharedState(1024, 16)
+	if !ss.AssignWays(Guest(0), 4) {
+		t.Fatal("assigning 4 of 16 free ways failed")
+	}
+	if ss.AssignWays(Guest(1), -1) {
+		t.Fatal("AssignWays(-1) succeeded")
+	}
+	for i, o := range ss.wayOwner {
+		if o == Guest(1) {
+			t.Fatalf("way %d assigned to %v by AssignWays(-1)", i, o)
+		}
+	}
+	if !ss.AssignWays(Guest(1), 12) {
+		t.Fatal("the 12 remaining ways are no longer free")
+	}
+}
+
 func TestFlushCostsComplete(t *testing.T) {
 	costs := DefaultFlushCosts()
 	for _, k := range PerCoreKinds() {
@@ -304,8 +324,10 @@ func TestFlushCostsComplete(t *testing.T) {
 // TestFillMatchesSequentialInsert pins the bulk-fill fast path to the
 // reference semantics: identical Source consumption and identical final
 // ring state as entry-by-entry Insert, across growth, wrap-around and
-// secret-tagging cases. Any divergence here breaks byte-identical
-// reproduction, not just performance.
+// secret-tagging cases. The lazy side records each round in a one-buffer
+// fill log, exactly as Touch records a batch, with a footprint whose
+// entry count is the round's length. Any divergence here breaks
+// byte-identical reproduction, not just performance.
 func TestFillMatchesSequentialInsert(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -323,20 +345,27 @@ func TestFillMatchesSequentialInsert(t *testing.T) {
 			refSrc := sim.NewSource(99)
 			fast := NewBuffer(L1D, tc.cap)
 			fastSrc := sim.NewSource(99)
+			log := &fillLog{bufs: []*Buffer{fast}}
+			fast.log = log
 			for r, n := range tc.rounds {
 				d := Guest(r)
 				for i := 0; i < n; i++ {
 					secret := tc.secretFrac > 0 && refSrc.Float64() < tc.secretFrac
 					ref.Insert(Entry{Domain: d, Secret: secret, Tag: refSrc.Uint64()})
 				}
-				// Record the lazy run and advance the stream exactly as
-				// Touch does for each structure in its batch.
-				frac, draws := -1.0, uint64(n)
+				// Record the lazy fill and advance the stream exactly as
+				// Touch does for its batch. Every capacity is a power of
+				// two, so n/cap × cap is exactly n.
+				frac, per := -1.0, uint64(1)
 				if tc.secretFrac > 0 {
-					frac, draws = tc.secretFrac, uint64(2*n)
+					frac, per = tc.secretFrac, 2
 				}
-				fast.pushFill(d, n, frac, fastSrc.State(), 0)
-				fastSrc.Skip(draws)
+				anchor, lag := fastSrc.Mark()
+				got := log.push(fill{anchor: anchor, lag: lag, fp: float64(n) / float64(tc.cap), frac: frac, domain: d})
+				if got != n {
+					t.Fatalf("round %d: fill of %d entries, want %d", r, got, n)
+				}
+				fastSrc.Skip(per * uint64(n))
 				// Aggregates must agree while fills are still pending.
 				if ref.Len() != fast.Len() {
 					t.Fatalf("round %d: lazy Len %d, eager %d", r, fast.Len(), ref.Len())

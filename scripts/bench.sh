@@ -315,11 +315,14 @@ PYEOF
 # matching, Sent/Backlog probes) must stay allocation-free at 500 krps,
 # the executor, timer and host-scheduler cycles must stay
 # allocation-free, an attack-battery attempt must stay allocation-free
-# under every scheduling, a pooled trial must allocate at least 5x fewer bytes
+# under every scheduling, a warmed core's Touch and the LLC's
+# TouchShared must append to their fill logs without allocating, a
+# pooled trial must allocate at least 5x fewer bytes
 # than a fresh one, and a pooled legacy trial twice as long must
 # allocate no more than a short one.
 go test -run 'TestZeroAlloc|TestEngineResetZeroAlloc' -count=1 ./internal/sim >/dev/null
 go test -run 'TestRecorderZeroAlloc|TestWindowedZeroAlloc|TestHistReset' -count=1 ./internal/trace >/dev/null
 go test -run 'TestZeroAlloc' -count=1 ./internal/vmm ./internal/hw ./internal/host ./internal/attack >/dev/null
+go test -run 'TestTouchZeroAllocs|TestTouchSharedZeroAllocs' -count=1 ./internal/uarch >/dev/null
 go test -run 'TestTrialAllocs|TestSteadyStateTrialAllocs' -count=1 ./internal/exp >/dev/null
 echo "bench: zero-alloc and pooled-trial allocation gates pass"
