@@ -2,16 +2,17 @@
 # a fast race pass over the runner and engine, full race-enabled tests,
 # a benchsuite smoke run, a traced-run smoke (Chrome trace export), the
 # perf smoke (microbenchmarks + allocation gates -> BENCH_8.json, no
-# wall-clock thresholds) and an end-to-end determinism check (serial CSV
-# output == 8-way parallel CSV output).
+# wall-clock thresholds), an end-to-end determinism check (serial CSV
+# output == 8-way parallel CSV output) and the committed benchmark
+# artifact digests.
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race race-fast smoke trace-smoke determinism bench bench-full bench-paper profile clean
+.PHONY: all check fmt vet build test race race-fast smoke trace-smoke determinism digests bench bench-full bench-paper profile clean
 
 all: check
 
-check: fmt vet build race-fast race smoke trace-smoke bench determinism
+check: fmt vet build race-fast race smoke trace-smoke bench determinism digests
 
 # Every Go file must be gofmt-clean; the offenders are listed on failure.
 fmt:
@@ -65,6 +66,11 @@ determinism:
 	$(GO) run ./cmd/benchsuite -exp all -counters -parallel 8 -csv "$$tmp/parallel" >/dev/null && \
 	diff -r "$$tmp/serial" "$$tmp/parallel" && \
 	echo "determinism: serial and parallel CSVs and counter banks identical"
+
+# The bench module's tests: each workload's artifacts at seed 42 must
+# match the SHA-256 digests committed in bench/testdata/digests.txt.
+digests:
+	$(GO) -C bench test ./...
 
 # Perf trajectory: engine microbenchmarks + a fixed benchsuite smoke
 # run, recorded in BENCH_8.json. A smoke, not a threshold — except the

@@ -32,6 +32,7 @@
 package main
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -40,6 +41,7 @@ import (
 	"runtime/metrics"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -90,12 +92,15 @@ type selfMetrics struct {
 }
 
 // trialCounters renders an experiment's per-trial engine counter banks
-// as CSV (trial,counter,value rows, trial then counter order).
+// as CSV (trial,counter,value rows, trial then counter order). Trial IDs
+// may hold commas ("busy-wait, no delegation@8"), so fields are quoted
+// where CSV needs it.
 type trialCounters struct{ rep *exp.Report }
 
 func (tc trialCounters) CSV() string {
 	var b strings.Builder
-	b.WriteString("trial,counter,value\n")
+	w := csv.NewWriter(&b)
+	w.Write([]string{"trial", "counter", "value"})
 	for _, t := range tc.rep.Trials {
 		names := make([]string, 0, len(t.Counters))
 		for name := range t.Counters {
@@ -103,9 +108,10 @@ func (tc trialCounters) CSV() string {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(&b, "%s,%s,%d\n", t.Spec.ID, name, t.Counters[name])
+			w.Write([]string{t.Spec.ID, name, strconv.FormatUint(t.Counters[name], 10)})
 		}
 	}
+	w.Flush()
 	return b.String()
 }
 

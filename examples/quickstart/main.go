@@ -10,6 +10,7 @@ import (
 
 	"coregap"
 	"coregap/internal/attest"
+	"coregap/internal/sim"
 )
 
 func main() {
@@ -42,8 +43,8 @@ func main() {
 	fmt.Printf("  core-gapped CVM (7 vCPUs): score %.3f effective cores\n",
 		cmGapped.Score(coregap.Duration(endGapped)))
 	fmt.Printf("  CVM exits to host: %d total (delegation handled %d timer ticks locally)\n",
-		gapped.Met.Counter("cvm.exits.total").Value(),
-		gapped.Met.Counter("cvm.ticks.delegated").Value())
+		gapped.Eng.CounterValue(sim.DefineCounter("cvm.exits.total")),
+		gapped.Eng.CounterValue(sim.DefineCounter("cvm.ticks.delegated")))
 
 	// ----- Attestation: the guest's proof that cores are gapped. -----
 	token, err := gapped.Mon.Token(vm.Realm(), [32]byte{0xC0, 0xFF, 0xEE})

@@ -9,6 +9,36 @@ import (
 	"coregap/internal/uarch"
 )
 
+// count reads a counter of n's engine bank by name.
+func count(n *Node, name string) uint64 {
+	return n.Eng.CounterValue(sim.DefineCounter(name))
+}
+
+// TestMachineCountersEqualPerVMSums: each machine-wide core.* count
+// with a per-VM twin is the sum of the twin over the node's VMs. vm0
+// takes delegated timer ticks (CoreMark), vm1 delegated vIPIs (IPI
+// ping-pong), and both exit when they halt.
+func TestMachineCountersEqualPerVMSums(t *testing.T) {
+	n := NewNode(6, GappedDefault(), DefaultParams(), 3)
+	if _, err := n.NewVM("vm0", 2, guest.NewCoreMark(2, 20*sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.NewVM("vm1", 2, guest.NewIPIBench(50)); err != nil {
+		t.Fatal(err)
+	}
+	n.RunUntilAllHalted(5 * sim.Second)
+	for machine, perVM := range map[string]string{
+		"core.vcpu_exits":      "exits.total",
+		"core.vipi_delegated":  "vipi.delegated",
+		"core.ticks_delegated": "ticks.delegated",
+	} {
+		vm0, vm1 := count(n, "vm0."+perVM), count(n, "vm1."+perVM)
+		if vm0+vm1 == 0 || count(n, machine) != vm0+vm1 {
+			t.Errorf("%s = %d, want the nonzero sum of vm0/vm1 %s: %d + %d", machine, count(n, machine), perVM, vm0, vm1)
+		}
+	}
+}
+
 func TestSharedCoreMarkCompletes(t *testing.T) {
 	n := NewNode(4, Baseline(), DefaultParams(), 1)
 	cm := guest.NewCoreMark(4, 50*sim.Millisecond)
@@ -28,7 +58,7 @@ func TestSharedCoreMarkCompletes(t *testing.T) {
 		t.Fatal("vcpu not halted")
 	}
 	// Baseline performed same-core timer exits.
-	if n.Met.Counter("vm0.exits.timer").Value() == 0 {
+	if count(n, "vm0.exits.timer") == 0 {
 		t.Fatal("no timer exits in shared mode")
 	}
 }
@@ -52,12 +82,12 @@ func TestGappedCoreMarkCompletes(t *testing.T) {
 		t.Fatalf("guest cores = %v", vm.GuestCores())
 	}
 	// With delegation, ticks are handled locally: almost no exits.
-	ticks := n.Met.Counter("vm0.ticks").Value()
-	deleg := n.Met.Counter("vm0.ticks.delegated").Value()
+	ticks := count(n, "vm0.ticks")
+	deleg := count(n, "vm0.ticks.delegated")
 	if ticks == 0 || deleg == 0 {
 		t.Fatalf("ticks=%d delegated=%d", ticks, deleg)
 	}
-	exits := n.Met.Counter("vm0.exits.total").Value()
+	exits := count(n, "vm0.exits.total")
 	if exits > ticks {
 		t.Fatalf("exits (%d) should be far below ticks (%d) with delegation", exits, ticks)
 	}
@@ -74,8 +104,8 @@ func TestGappedNoDelegationExitsPerTick(t *testing.T) {
 	if !cm.Done() {
 		t.Fatal("not done")
 	}
-	ticks := n.Met.Counter("vm0.ticks").Value()
-	timerExits := n.Met.Counter("vm0.exits.timer").Value()
+	ticks := count(n, "vm0.ticks")
+	timerExits := count(n, "vm0.exits.timer")
 	// Two exits per tick (§4.4).
 	if timerExits < 2*ticks-4 || timerExits > 2*ticks {
 		t.Fatalf("timer exits = %d for %d ticks, want ~2x", timerExits, ticks)
@@ -160,10 +190,10 @@ func TestGappedIOzoneCompletes(t *testing.T) {
 		t.Fatalf("moved %d at %v", z.Moved(), end)
 	}
 	// Block I/O produced MMIO exits and kick injections.
-	if n.Met.Counter("vm0.exits.mmio").Value() == 0 {
+	if count(n, "vm0.exits.mmio") == 0 {
 		t.Fatal("no mmio exits")
 	}
-	if n.Met.Counter("vm0.exits.kick").Value() == 0 {
+	if count(n, "vm0.exits.kick") == 0 {
 		t.Fatal("no kick exits (completion interrupts)")
 	}
 }
@@ -192,7 +222,7 @@ func TestGappedVIPIDelegatedVsNot(t *testing.T) {
 		if b.Rounds() != 50 {
 			t.Fatalf("rounds = %d\n%s", b.Rounds(), n.Met.String())
 		}
-		return end, n.Met.Counter("vm0.exits.vipi").Value(), n
+		return end, count(n, "vm0.exits.vipi"), n
 	}
 	endDeleg, vipiExitsDeleg, nDeleg := run(GappedDefault())
 	endNoDeleg, vipiExitsNoDeleg, _ := run(GappedNoDelegation())
@@ -205,7 +235,7 @@ func TestGappedVIPIDelegatedVsNot(t *testing.T) {
 	if endDeleg >= endNoDeleg {
 		t.Fatalf("delegation (%v) not faster than trap-to-host (%v)", endDeleg, endNoDeleg)
 	}
-	if nDeleg.Met.Counter("vm0.vipi.delegated").Value() == 0 {
+	if count(nDeleg, "vm0.vipi.delegated") == 0 {
 		t.Fatal("no delegated vipi recorded")
 	}
 }

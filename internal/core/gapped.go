@@ -435,14 +435,14 @@ func (v *VCPU) onTick() {
 	}
 	n := v.node()
 	p := v.params()
-	v.vm.inc(&v.vm.met.ticks, "", "ticks")
+	n.Eng.Count(v.vm.met.ticks)
 
 	if n.Opts.DelegateTimer {
 		// Monitor-local emulation (§4.4): trap, re-arm, inject, guest
 		// handler — all on the dedicated core, no host interaction.
 		n.Eng.Count(cTickDeleg)
 		n.Eng.Trace().Emit(sim.TCIRQ, "core.tick_delegated", int32(v.dcore), int64(v.idx))
-		v.vm.inc(&v.vm.met.ticksDelegated, "ticks.", "delegated")
+		n.Eng.Count(v.vm.met.ticksDelegated)
 		if !v.inGuest {
 			return // vCPU between run calls; tick state folded into entry
 		}
@@ -510,7 +510,7 @@ func (v *VCPU) delegatedVIPI(target int) {
 	p := v.params()
 	n.Eng.Count(cVIPIDeleg)
 	n.Eng.Trace().Emit(sim.TCIRQ, "core.vipi_delegated", int32(v.dcore), int64(target))
-	v.vm.inc(&v.vm.met.vipiDelegated, "vipi.", "delegated")
+	n.Eng.Count(v.vm.met.vipiDelegated)
 	if target < 0 || target >= len(v.vm.vcpus) {
 		v.advance()
 		return

@@ -71,7 +71,7 @@ func TestHostileKickStorm(t *testing.T) {
 	if !cm.Done() {
 		t.Fatalf("kick storm wedged the guest (at %v)\n%s", end, n.Met.String())
 	}
-	if n.Met.Counter("vm0.exits.kick").Value() < 100 {
+	if count(n, "vm0.exits.kick") < 100 {
 		t.Fatal("storm did not actually force exits")
 	}
 	// The guest paid in time, not in isolation: only monitor+guest on

@@ -151,7 +151,7 @@ func NewNodeIn(ctx *Context, opts Options, p Params) *Node {
 		Eng:     ctx.Eng,
 		Mach:    ctx.Mach,
 		Dist:    ctx.Dist,
-		Kern:    host.NewKernel(ctx.Mach, ctx.Dist, ctx.Met),
+		Kern:    host.NewKernel(ctx.Mach, ctx.Dist),
 		Met:     ctx.Met,
 		P:       p,
 		Opts:    opts,
@@ -162,7 +162,7 @@ func NewNodeIn(ctx *Context, opts Options, p Params) *Node {
 		CoreGapped:    opts.Mode == Gapped,
 		DelegateTimer: opts.DelegateTimer,
 		DelegateVIPI:  opts.DelegateVIPI,
-	}, ctx.Met)
+	})
 	if opts.PartitionLLC {
 		ctx.Mach.Shared().EnablePartitioning()
 	}

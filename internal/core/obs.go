@@ -3,9 +3,9 @@ package core
 import "coregap/internal/sim"
 
 // Engine-level counters for the node orchestration edges. These are
-// machine-wide (every VM on the node lands in the same bank), unlike
-// the per-VM map counters in the trial metric Set; together they give
-// the perf-counter view of a trial: how many REC entries, exits,
+// machine-wide (every VM on the node bumps the same counter), beside
+// the per-VM <vm>.* counters of vm.go in the same bank; together they
+// give the perf-counter view of a trial: how many REC entries, exits,
 // injections and delegated fast-path events the scenario generated.
 var (
 	cRECEnter   = sim.DefineCounter("core.rec_enters")

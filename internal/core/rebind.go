@@ -95,7 +95,7 @@ func (v *VCPU) applyPendingRebind() {
 		n.Mon.ReclaimCore(to)
 		n.Kern.OnlineCore(to)
 		n.Plan.AbortRebind(v.vm.name, to)
-		n.Met.Counter(v.vm.name + ".rebind.failed").Inc()
+		n.Eng.Count(v.vm.met.rebindFailed)
 		return
 	}
 	old := v.dcore
@@ -113,5 +113,5 @@ func (v *VCPU) applyPendingRebind() {
 		n.Kern.OnlineCore(old)
 	}
 	n.Plan.CompleteRebind(v.vm.name, old)
-	n.Met.Counter(v.vm.name + ".rebind.ok").Inc()
+	n.Eng.Count(v.vm.met.rebindOK)
 }

@@ -29,7 +29,7 @@ func TestLiveRebindMovesRunningVCPU(t *testing.T) {
 	if v.DedicatedCore() != target {
 		t.Fatalf("vcpu still on core %d, want %d", v.DedicatedCore(), target)
 	}
-	if n.Met.Counter("vm0.rebind.ok").Value() != 1 {
+	if count(n, "vm0.rebind.ok") != 1 {
 		t.Fatal("rebind not recorded")
 	}
 	// The vacated core returned to the host...

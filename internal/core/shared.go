@@ -137,7 +137,7 @@ func sharedVIPIArrived(c vcpuCall) {
 func (v *VCPU) onTickShared() {
 	n := v.node()
 	p := v.params()
-	v.vm.inc(&v.vm.met.ticks, "", "ticks")
+	n.Eng.Count(v.vm.met.ticks)
 	v.countExit(ExitTimer)
 
 	base := p.KVMExitKernel + p.SharedVGIC + p.GuestIRQHandle + p.HostNoise

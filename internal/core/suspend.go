@@ -35,7 +35,7 @@ func (n *Node) SuspendVM(vm *VM) error {
 		return ErrAlreadySuspended
 	}
 	vm.suspended = true
-	n.Met.Counter(vm.name + ".suspend").Inc()
+	n.Eng.Count(vm.met.suspend)
 	for _, v := range vm.vcpus {
 		v := v
 		if v.halted || v.stopped {
@@ -60,7 +60,7 @@ func (n *Node) ResumeVM(vm *VM) error {
 		return ErrNotSuspended
 	}
 	vm.suspended = false
-	n.Met.Counter(vm.name + ".resume").Inc()
+	n.Eng.Count(vm.met.resume)
 	for _, v := range vm.vcpus {
 		if v.halted || v.stopped || !v.parked {
 			continue

@@ -57,7 +57,7 @@ func TestSuspendResumeRoundTrip(t *testing.T) {
 	if !cm.Done() {
 		t.Fatal("workload did not finish after resume")
 	}
-	if n.Met.Counter("vm0.suspend").Value() != 1 || n.Met.Counter("vm0.resume").Value() != 1 {
+	if count(n, "vm0.suspend") != 1 || count(n, "vm0.resume") != 1 {
 		t.Fatal("suspend/resume accounting")
 	}
 }

@@ -199,12 +199,12 @@ func (v *VCPU) countExit(r ExitReason) {
 	n := v.node()
 	n.Eng.Count(cVCPUExit)
 	n.Eng.Trace().Emit(sim.TCExit, exitTraceName(r), int32(v.dcore), int64(v.idx))
-	vm, c := v.vm, &v.vm.met
-	vm.inc(&c.exitsTotal, "exits.", "total")
+	c := v.vm.met
+	n.Eng.Count(c.exitsTotal)
 	if r.InterruptRelated() {
-		vm.inc(&c.exitsInterrupt, "exits.", "interrupt")
+		n.Eng.Count(c.exitsInterrupt)
 	}
-	vm.inc(&c.exits[r], "exits.", r.String())
+	n.Eng.Count(c.exits[r])
 }
 
 // startTimers arms the guest tick and the residual-exit generators.

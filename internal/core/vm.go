@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"coregap/internal/granule"
 	"coregap/internal/guest"
@@ -10,7 +11,6 @@ import (
 	"coregap/internal/rmm"
 	"coregap/internal/rpc"
 	"coregap/internal/sim"
-	"coregap/internal/trace"
 	"coregap/internal/uarch"
 	"coregap/internal/vmm"
 )
@@ -39,27 +39,60 @@ type VM struct {
 	// suspended marks a host-initiated suspension in progress (§7).
 	suspended bool
 
-	// Hot-path metric handles and latency-metric names, resolved once
-	// per VM instead of built per event (see inc).
-	met          vmCounters
+	// The VM's counters in the engine bank and its latency-metric
+	// names, resolved once per VM instead of built per event.
+	met          *vmCounters
 	runToRunName string
 	vipiLatName  string
 }
 
-// vmCounters caches the per-VM counters the exit and interrupt paths
-// bump on every event. A handle stays nil until its first increment,
-// which resolves it through Set.Counter — creating the counter, or
-// reviving it from an earlier trial of a pooled set — exactly as the
-// name-per-event lookups did, so a trial reports the same counter names
-// and values. A VM lives for one trial, inside one epoch of its set, so
-// a resolved handle never outlives the epoch it was resolved in.
+// vmCounters are one VM's counters in the engine's counter bank, named
+// <vm>.<counter>. They are registered the first time a VM of a given
+// name is built and memoized by that name (vmCounterIDs), so a pooled
+// trial rebuilding the same VMs does no registry work.
 type vmCounters struct {
-	exitsTotal     *trace.Counter
-	exitsInterrupt *trace.Counter
-	exits          [numExitReasons]*trace.Counter
-	ticks          *trace.Counter
-	ticksDelegated *trace.Counter
-	vipiDelegated  *trace.Counter
+	exitsTotal     sim.CounterID
+	exitsInterrupt sim.CounterID
+	exits          [numExitReasons]sim.CounterID
+	ticks          sim.CounterID
+	ticksDelegated sim.CounterID
+	vipiDelegated  sim.CounterID
+	suspend        sim.CounterID
+	resume         sim.CounterID
+	rebindOK       sim.CounterID
+	rebindFailed   sim.CounterID
+}
+
+var vmCounterMemo = struct {
+	sync.Mutex
+	byName map[string]*vmCounters
+}{byName: make(map[string]*vmCounters)}
+
+// vmCounterIDs returns the counters of the VM named name, registering
+// them on the first call for that name.
+func vmCounterIDs(name string) *vmCounters {
+	vmCounterMemo.Lock()
+	defer vmCounterMemo.Unlock()
+	if c, ok := vmCounterMemo.byName[name]; ok {
+		return c
+	}
+	def := func(counter string) sim.CounterID { return sim.DefineCounter(name + "." + counter) }
+	c := &vmCounters{
+		exitsTotal:     def("exits.total"),
+		exitsInterrupt: def("exits.interrupt"),
+		ticks:          def("ticks"),
+		ticksDelegated: def("ticks.delegated"),
+		vipiDelegated:  def("vipi.delegated"),
+		suspend:        def("suspend"),
+		resume:         def("resume"),
+		rebindOK:       def("rebind.ok"),
+		rebindFailed:   def("rebind.failed"),
+	}
+	for r := range c.exits {
+		c.exits[r] = def("exits." + ExitReason(r).String())
+	}
+	vmCounterMemo.byName[name] = c
+	return c
 }
 
 // assignment is the planner decision realized on the node.
@@ -97,15 +130,6 @@ func (vm *VM) GuestCores() []hw.CoreID {
 	return vm.assign.guestCores
 }
 
-// inc increments the VM's counter <vm>.<group><name> through the cached
-// handle *h, resolving it on first use.
-func (vm *VM) inc(h **trace.Counter, group, name string) {
-	if *h == nil {
-		*h = vm.node.Met.Counter(vm.name + "." + group + name)
-	}
-	(*h).Inc()
-}
-
 // NewVM builds a guest running prog on vcpus virtual CPUs and starts it.
 //
 // In Gapped mode this performs the full paper §4.2 sequence: planner
@@ -116,6 +140,7 @@ func (vm *VM) inc(h **trace.Counter, group, name string) {
 func (n *Node) NewVM(name string, vcpus int, prog guest.Program) (*VM, error) {
 	vm := &VM{
 		node: n, name: name, prog: prog, vipiSentAt: make([]sim.Time, vcpus),
+		met:          vmCounterIDs(name),
 		runToRunName: name + ".runtorun",
 		vipiLatName:  name + ".vipi.latency",
 	}
@@ -171,7 +196,7 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 
 	// 3. VMM process, pinned to the assigned host core (§5.1: "pinning
 	// all VMM threads on the host to a single additional core").
-	vm.VMM = vmm.New(vm.name, n.Kern, vmm.DefaultCosts(), int(a.HostCore), n.Met)
+	vm.VMM = vmm.New(vm.name, n.Kern, vmm.DefaultCosts(), int(a.HostCore))
 	vm.VMM.SetInject(vm.injectFromHost)
 
 	// 4. vCPU contexts, threads and run-call mailboxes.
@@ -231,7 +256,7 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 
 func (n *Node) setupShared(vm *VM, vcpus int) {
 	vm.domain = uarch.Guest(100 + len(n.vms)) // plain VMs get distinct domains too
-	vm.VMM = vmm.New(vm.name, n.Kern, vmm.DefaultCosts(), -1, n.Met)
+	vm.VMM = vmm.New(vm.name, n.Kern, vmm.DefaultCosts(), -1)
 	vm.VMM.SetInject(vm.injectFromHost)
 	for i := 0; i < vcpus; i++ {
 		v := newVCPU(vm, i, hw.NoCore)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -202,14 +203,34 @@ func TestTrialCountersCaptured(t *testing.T) {
 			}
 		}
 		// A second trial on the same pooled context must not inherit the
-		// first trial's counts.
+		// first trial's counts, nor lose any.
 		again, err := ExecuteIn(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for key, v := range again.Counters {
-			if trial.Counters[key] != v {
-				t.Errorf("pooled rerun counter %q: %d vs %d", key, v, trial.Counters[key])
+		if !reflect.DeepEqual(again.Counters, trial.Counters) {
+			t.Errorf("pooled rerun counters differ\nfirst: %v\nrerun: %v", trial.Counters, again.Counters)
+		}
+	}
+}
+
+// TestTable4ValuesMatchCounters: Table 4's exit counts are vm0's
+// counters in the engine bank, so every Table 4 trial reports the same
+// numbers in its Values as in its captured Counters.
+func TestTable4ValuesMatchCounters(t *testing.T) {
+	e, _ := Lookup("table4")
+	ctx := NewTrialContext()
+	for _, spec := range e.Specs(Profile{Seed: 42}) {
+		trial, err := ExecuteIn(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial.V("exits.total") == 0 {
+			t.Errorf("%s: no exits.total value", spec.ID)
+		}
+		for _, key := range []string{"exits.total", "exits.interrupt"} {
+			if got, want := trial.V(key), float64(trial.Counters["vm0."+key]); got != want {
+				t.Errorf("%s: Values[%q] = %v, Counters[%q] = %v", spec.ID, key, got, "vm0."+key, want)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"coregap/internal/guest"
 	"coregap/internal/sim"
-	"coregap/internal/trace"
 )
 
 // poolingTestExperiments is the experiment set the pooled-vs-fresh
@@ -257,39 +256,33 @@ func TestSteadyStateTrialAllocs(t *testing.T) {
 	}
 }
 
-// TestPooledCounterNamesMatchFresh guards the VMs' cached counter
-// handles against stale epoch revival. Two pooled trials with different
-// exit mixes run back to back on one context — Table 4's no-delegation
-// config, whose ticks exit to the host, and the delegated config, whose
-// ticks stay on the dedicated core — in both orders. The second trial's
-// metric set must list exactly the counters, with exactly the values, a
-// fresh Execute of the same spec reports: no reason only the first
-// trial took may show up in it.
+// TestPooledCounterNamesMatchFresh guards the pooled engine's counter
+// bank against carrying counts from one trial into the next. Two pooled
+// trials with different exit mixes run back to back on one context —
+// Table 4's no-delegation config, whose ticks exit to the host, and the
+// delegated config, whose ticks stay on the dedicated core — in both
+// orders. The second trial's Counters must list exactly the counters,
+// with exactly the values, a fresh Execute of the same spec reports: no
+// counter only the first trial took may show up in it.
 func TestPooledCounterNamesMatchFresh(t *testing.T) {
 	cm := Workload{Kind: WLCoreMark, VCPUs: 3, Work: 100 * sim.Millisecond}
 	nodeleg := ScenarioSpec{ID: "nodeleg", Config: ConfigGappedNoDeleg, Cores: 4, Seed: 9, Workload: cm}
 	deleg := ScenarioSpec{ID: "deleg", Config: ConfigGapped, Cores: 4, Seed: 9, Workload: cm}
-	counters := func(s *trace.Set) map[string]uint64 {
-		out := make(map[string]uint64)
-		for _, name := range s.CounterNames() {
-			out[name] = s.Counter(name).Value()
-		}
-		return out
-	}
 	for _, pair := range [][2]ScenarioSpec{{nodeleg, deleg}, {deleg, nodeleg}} {
 		first, second := pair[0], pair[1]
 		fresh, err := Execute(second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := counters(fresh.Metrics)
+		want := fresh.Counters
 
 		ctx := NewTrialContext()
-		if _, err := ExecuteIn(ctx, first); err != nil {
+		prev, err := ExecuteIn(ctx, first)
+		if err != nil {
 			t.Fatal(err)
 		}
 		onlyFirst := 0
-		for name := range counters(ctx.core.Met) {
+		for name := range prev.Counters {
 			if _, ok := want[name]; !ok {
 				onlyFirst++
 			}
@@ -297,11 +290,12 @@ func TestPooledCounterNamesMatchFresh(t *testing.T) {
 		if onlyFirst == 0 {
 			t.Fatalf("%s then %s: the first trial took no counter the second lacks; the exit mixes must differ", first.ID, second.ID)
 		}
-		if _, err := ExecuteIn(ctx, second); err != nil {
+		got, err := ExecuteIn(ctx, second)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := counters(ctx.core.Met); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s then %s: pooled counters differ from fresh\nfresh:  %v\npooled: %v", first.ID, second.ID, want, got)
+		if !reflect.DeepEqual(got.Counters, want) {
+			t.Errorf("%s then %s: pooled counters differ from fresh\nfresh:  %v\npooled: %v", first.ID, second.ID, want, got.Counters)
 		}
 	}
 }

@@ -18,8 +18,9 @@ import (
 )
 
 // Trial is the result of executing one ScenarioSpec: named scalar
-// outcomes, optional string-valued outcomes, run metadata, and (for
-// node-based workloads) the full metric set for ad-hoc inspection.
+// outcomes, optional string-valued outcomes, run metadata, the engine
+// counter bank, and (for node-based workloads) the latency metric set
+// for ad-hoc inspection.
 //
 // Everything except Meta.Wall and Metrics is a pure function of the
 // spec, which is what makes parallel execution bit-identical to serial.
@@ -35,7 +36,8 @@ type Trial struct {
 	// context is recycled. Like Values, they are a pure function of the
 	// spec: windows live on the absolute simulated-time grid.
 	Windows map[string][]trace.WindowStat
-	// Metrics is the node's full metric set, nil for raw-transport
+	// Metrics is the node's latency metric set — histograms and
+	// windows; every count is in Counters — nil for raw-transport
 	// trials. Reducers must not depend on it; it exists for workbench
 	// consumers (cmd/coregapctl -v). Only fresh-context execution
 	// (Execute, or a Runner with Fresh set) populates it: under pooled
@@ -44,9 +46,10 @@ type Trial struct {
 	// rather than handing out state that will be rewound underneath
 	// the caller.
 	Metrics *trace.Set
-	// Counters is the trial's engine counter bank — every cross-subsystem
-	// perf counter (world switches, IPIs, SMC calls, …) that fired, by
-	// name. Copied out of the (possibly pooled) engine at trial finish.
+	// Counters is the trial's engine counter bank — every counter that
+	// fired, by name: machine-wide perf counters (world switches, IPIs,
+	// SMC calls, …) and per-VM ones (<vm>.exits.total, …). Copied out
+	// of the (possibly pooled) engine at trial finish.
 	// Reducers must not depend on it: it is diagnostic, not artifact.
 	Counters map[string]uint64
 	// TraceEvents is the trial's captured sim-time trace, chronological,
@@ -163,7 +166,13 @@ func (t *Trial) captureObs(eng *sim.Engine) {
 	}
 }
 
-// finishNode captures engine statistics, the standard per-VM counters,
+// Table 4's exit counts: vm0's counters in the engine bank.
+var (
+	cVM0Exits    = sim.DefineCounter("vm0.exits.total")
+	cVM0IRQExits = sim.DefineCounter("vm0.exits.interrupt")
+)
+
+// finishNode captures engine statistics, Table 4's exit counts,
 // and — when the trial ran with a metrics window — the closed window
 // summaries of every windowed metric.
 func (t *Trial) finishNode(n *core.Node) {
@@ -177,9 +186,9 @@ func (t *Trial) finishNode(n *core.Node) {
 			t.Windows[name] = append([]trace.WindowStat(nil), w.Stats()...)
 		}
 	}
-	if n.Met.HasCounter("vm0.exits.total") {
-		t.Values["exits.total"] = float64(n.Met.Counter("vm0.exits.total").Value())
-		t.Values["exits.interrupt"] = float64(n.Met.Counter("vm0.exits.interrupt").Value())
+	if exits := n.Eng.CounterValue(cVM0Exits); exits > 0 {
+		t.Values["exits.total"] = float64(exits)
+		t.Values["exits.interrupt"] = float64(n.Eng.CounterValue(cVM0IRQExits))
 	}
 	if len(n.VMs()) > 0 && n.Opts.Mode == core.Gapped {
 		vm := n.VMs()[0]
@@ -394,7 +403,7 @@ func (t *Trial) runNullAsync(ctx *TrialContext, spec ScenarioSpec) error {
 	parts := ctx.kernelParts(2, spec.Seed)
 	eng, mach := parts.Eng, parts.Mach
 	traceOn(eng, spec)
-	kern := host.NewKernel(parts.Mach, parts.Dist, parts.Met)
+	kern := host.NewKernel(parts.Mach, parts.Dist)
 	mb := rpc.NewMailbox(eng, "null")
 	hist := trace.AcquireHist("null.async")
 	defer trace.ReleaseHist(hist)

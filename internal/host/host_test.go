@@ -6,7 +6,6 @@ import (
 	"coregap/internal/gic"
 	"coregap/internal/hw"
 	"coregap/internal/sim"
-	"coregap/internal/trace"
 )
 
 func newKernel(t *testing.T, cores int) (*sim.Engine, *hw.Machine, *Kernel) {
@@ -14,7 +13,7 @@ func newKernel(t *testing.T, cores int) (*sim.Engine, *hw.Machine, *Kernel) {
 	eng := sim.NewEngine(7)
 	m := hw.NewMachine(eng, hw.DefaultConfig(cores))
 	d := gic.NewDistributor(m)
-	k := NewKernel(m, d, trace.NewSet())
+	k := NewKernel(m, d)
 	return eng, m, k
 }
 
@@ -164,8 +163,8 @@ func TestIRQDispatchToHandler(t *testing.T) {
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("handlers ran on %v", got)
 	}
-	if k.Metrics().Counter("host.irqs").Value() != 3 {
-		t.Fatalf("irq count = %d", k.Metrics().Counter("host.irqs").Value())
+	if n := eng.CounterValue(cIRQs); n != 3 {
+		t.Fatalf("irq count = %d", n)
 	}
 }
 

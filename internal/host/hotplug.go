@@ -83,10 +83,6 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 		k.wake(t)
 	}
 
-	if k.met != nil {
-		k.met.Counter("host.hotplug.offline").Inc()
-	}
-
 	// The shutdown procedure itself takes time; the final action is
 	// either halting the core or handing it to the monitor.
 	k.eng.After(HotplugCost, "hotplug-off", func() {
@@ -116,9 +112,6 @@ func (k *Kernel) OnlineCore(id hw.CoreID) error {
 	k.mach.SetPower(id, hw.Online)
 	// The host owns the core's interrupt delivery again.
 	k.mach.Core(id).SetIRQHandler(func(from hw.CoreID, irq hw.IRQ) { k.handleIRQ(id, from, irq) })
-	if k.met != nil {
-		k.met.Counter("host.hotplug.online").Inc()
-	}
 	k.dispatch(cs)
 	return nil
 }

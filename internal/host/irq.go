@@ -28,9 +28,7 @@ func (k *Kernel) handleIRQ(core hw.CoreID, from hw.CoreID, irq hw.IRQ) {
 		}
 		return
 	}
-	if k.met != nil {
-		k.met.Counter("host.irqs").Inc()
-	}
+	k.eng.Count(cIRQs)
 	fn := k.irqHandlers[irq]
 	if fn == nil {
 		return

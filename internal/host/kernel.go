@@ -6,7 +6,6 @@ import (
 	"coregap/internal/gic"
 	"coregap/internal/hw"
 	"coregap/internal/sim"
-	"coregap/internal/trace"
 	"coregap/internal/uarch"
 )
 
@@ -18,6 +17,7 @@ var (
 	cSubmits    = sim.DefineCounter("host.submits")
 	cCtxSwitch  = sim.DefineCounter("host.ctx_switches")
 	cIRQSteals  = sim.DefineCounter("host.irq_steals")
+	cIRQs       = sim.DefineCounter("host.irqs")
 	cHotplugOff = sim.DefineCounter("host.hotplug_offlines")
 	cHotplugOn  = sim.DefineCounter("host.hotplug_onlines")
 )
@@ -28,7 +28,6 @@ type Kernel struct {
 	eng  *sim.Engine
 	mach *hw.Machine
 	dist *gic.Distributor
-	met  *trace.Set
 
 	cores   map[hw.CoreID]*coreSched
 	quantum sim.Duration
@@ -66,12 +65,11 @@ type coreSched struct {
 }
 
 // NewKernel boots the host kernel on all of the machine's cores.
-func NewKernel(mach *hw.Machine, dist *gic.Distributor, met *trace.Set) *Kernel {
+func NewKernel(mach *hw.Machine, dist *gic.Distributor) *Kernel {
 	k := &Kernel{
 		eng:           mach.Engine(),
 		mach:          mach,
 		dist:          dist,
-		met:           met,
 		cores:         make(map[hw.CoreID]*coreSched),
 		quantum:       DefaultQuantum,
 		irqHandlers:   make(map[hw.IRQ]func(hw.CoreID)),
@@ -104,9 +102,6 @@ func (k *Kernel) Machine() *hw.Machine { return k.mach }
 
 // Distributor reports the interrupt distributor.
 func (k *Kernel) Distributor() *gic.Distributor { return k.dist }
-
-// Metrics reports the kernel's metric set.
-func (k *Kernel) Metrics() *trace.Set { return k.met }
 
 // SetQuantum overrides the normal-class timeslice.
 func (k *Kernel) SetQuantum(q sim.Duration) { k.quantum = q }

@@ -10,7 +10,7 @@ import (
 
 func TestKernelAccessors(t *testing.T) {
 	eng, m, k := newKernel(t, 2)
-	if k.Engine() != eng || k.Machine() != m || k.Distributor() == nil || k.Metrics() == nil {
+	if k.Engine() != eng || k.Machine() != m || k.Distributor() == nil {
 		t.Fatal("accessors")
 	}
 	th := k.NewThread("acc", ClassFIFO, 1)

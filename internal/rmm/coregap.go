@@ -21,7 +21,7 @@ import (
 // realm world. Called from the host's modified hotplug path.
 func (m *Monitor) DedicateCore(id hw.CoreID) {
 	m.dedicated[id] = true
-	m.count("rmm.core.dedicate")
+	m.count(cCoreDedicate)
 }
 
 // IsDedicated reports whether the monitor controls the core.
@@ -42,7 +42,7 @@ func (m *Monitor) ReclaimCore(id hw.CoreID) error {
 	}
 	delete(m.dedicated, id)
 	delete(m.bindings, id)
-	m.count("rmm.core.reclaim")
+	m.count(cCoreReclaim)
 	return nil
 }
 
@@ -79,7 +79,7 @@ func (m *Monitor) CheckEnter(rec *REC, core hw.CoreID) error {
 	if rec.bound == hw.NoCore {
 		rec.bound = core
 		m.bindings[core] = rec
-		m.count("rmm.core.bind")
+		m.count(cCoreBind)
 	}
 	return nil
 }
@@ -88,7 +88,7 @@ func (m *Monitor) CheckEnter(rec *REC, core hw.CoreID) error {
 func (m *Monitor) NoteEnter(rec *REC) {
 	rec.enters++
 	rec.state = RecRunning
-	m.count("rmm.rec.enter")
+	m.count(cRECEnter)
 }
 
 // NoteExit records a vCPU exit that reached the host.
@@ -97,7 +97,7 @@ func (m *Monitor) NoteExit(rec *REC) {
 	if rec.state == RecRunning {
 		rec.state = RecReady
 	}
-	m.count("rmm.rec.exit")
+	m.count(cRECExit)
 }
 
 // BoundRec reports the REC bound to a core (nil when none).
@@ -133,6 +133,6 @@ func (m *Monitor) RebindRec(rec *REC, to hw.CoreID) error {
 	}
 	rec.bound = to
 	m.bindings[to] = rec
-	m.count("rmm.core.rebind")
+	m.count(cCoreRebind)
 	return nil
 }

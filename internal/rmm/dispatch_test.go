@@ -8,7 +8,6 @@ import (
 	"coregap/internal/hw"
 	"coregap/internal/sim"
 	"coregap/internal/smc"
-	"coregap/internal/trace"
 )
 
 // abiFixture drives the monitor purely through the SMC ABI, as a real
@@ -23,7 +22,7 @@ func newABIFixture(t *testing.T, cfg Config) *abiFixture {
 	t.Helper()
 	eng := sim.NewEngine(5)
 	mach := hw.NewMachine(eng, hw.DefaultConfig(8))
-	return &abiFixture{d: NewDispatcher(New(mach, cfg, trace.NewSet())), mach: mach}
+	return &abiFixture{d: NewDispatcher(New(mach, cfg)), mach: mach}
 }
 
 func (f *abiFixture) call(fid smc.FID, args ...uint64) smc.Result {

@@ -23,7 +23,7 @@ import (
 	"coregap/internal/attest"
 	"coregap/internal/granule"
 	"coregap/internal/hw"
-	"coregap/internal/trace"
+	"coregap/internal/sim"
 	"coregap/internal/uarch"
 )
 
@@ -172,11 +172,26 @@ type Config struct {
 	DelegateVIPI bool
 }
 
+// Monitor counters: the realm and REC lifecycle, and the core-gapping
+// extensions' core handoffs, bindings and run-call entries.
+var (
+	cRealmCreate   = sim.DefineCounter("rmm.realm.create")
+	cRealmActivate = sim.DefineCounter("rmm.realm.activate")
+	cRealmDestroy  = sim.DefineCounter("rmm.realm.destroy")
+	cRECCreate     = sim.DefineCounter("rmm.rec.create")
+	cRECDestroy    = sim.DefineCounter("rmm.rec.destroy")
+	cRECEnter      = sim.DefineCounter("rmm.rec.enter")
+	cRECExit       = sim.DefineCounter("rmm.rec.exit")
+	cCoreDedicate  = sim.DefineCounter("rmm.core.dedicate")
+	cCoreReclaim   = sim.DefineCounter("rmm.core.reclaim")
+	cCoreBind      = sim.DefineCounter("rmm.core.bind")
+	cCoreRebind    = sim.DefineCounter("rmm.core.rebind")
+)
+
 // Monitor is the security monitor instance.
 type Monitor struct {
 	mach *hw.Machine
 	gpt  *granule.Table
-	met  *trace.Set
 	cfg  Config
 
 	realms    map[granule.RealmID]*Realm
@@ -193,11 +208,10 @@ type Monitor struct {
 }
 
 // New returns a monitor managing the machine's GPT.
-func New(mach *hw.Machine, cfg Config, met *trace.Set) *Monitor {
+func New(mach *hw.Machine, cfg Config) *Monitor {
 	return &Monitor{
 		mach:         mach,
 		gpt:          mach.GPT(),
-		met:          met,
 		cfg:          cfg,
 		realms:       make(map[granule.RealmID]*Realm),
 		nextRealm:    1,
@@ -211,14 +225,7 @@ func New(mach *hw.Machine, cfg Config, met *trace.Set) *Monitor {
 // Config reports the monitor's policy.
 func (m *Monitor) Config() Config { return m.cfg }
 
-// Metrics reports the monitor's metric set.
-func (m *Monitor) Metrics() *trace.Set { return m.met }
-
-func (m *Monitor) count(name string) {
-	if m.met != nil {
-		m.met.Counter(name).Inc()
-	}
-}
+func (m *Monitor) count(id sim.CounterID) { m.mach.Engine().Count(id) }
 
 // RealmCreate validates parameters, claims the RD granule, and builds the
 // realm with an empty stage-2 tree rooted at rttRoot (both PAs must be in
@@ -251,7 +258,7 @@ func (m *Monitor) RealmCreate(params RealmParams, rd, rttRoot granule.PA) (*Real
 	m.nextRealm++
 	m.nextGuest++
 	m.realms[id] = r
-	m.count("rmm.realm.create")
+	m.count(cRealmCreate)
 	return r, nil
 }
 
@@ -270,7 +277,7 @@ func (m *Monitor) RecCreate(r *Realm, pa granule.PA) (*REC, error) {
 	rec := &REC{realm: r, idx: len(r.recs), pa: pa, bound: hw.NoCore}
 	r.recs = append(r.recs, rec)
 	r.ledger.ExtendRIM([]byte(fmt.Sprintf("rec:%d", rec.idx)))
-	m.count("rmm.rec.create")
+	m.count(cRECCreate)
 	return rec, nil
 }
 
@@ -296,7 +303,7 @@ func (m *Monitor) Activate(r *Realm) error {
 	}
 	r.ledger.Seal()
 	r.state = RealmActive
-	m.count("rmm.realm.activate")
+	m.count(cRealmActivate)
 	return nil
 }
 
@@ -313,7 +320,7 @@ func (m *Monitor) Destroy(r *Realm) error {
 	}
 	m.gpt.Release(r.rd, r.id)
 	r.state = RealmDestroyed
-	m.count("rmm.realm.destroy")
+	m.count(cRealmDestroy)
 	return nil
 }
 
@@ -329,7 +336,7 @@ func (m *Monitor) RecDestroy(rec *REC) error {
 	}
 	m.gpt.Release(rec.pa, rec.realm.id)
 	rec.state = RecDestroyed
-	m.count("rmm.rec.destroy")
+	m.count(cRECDestroy)
 	return nil
 }
 

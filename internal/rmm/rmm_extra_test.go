@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"coregap/internal/granule"
+	"coregap/internal/sim"
 	"coregap/internal/smc"
 	"coregap/internal/uarch"
 )
 
 func TestAccessorsAndMetadata(t *testing.T) {
 	f := newFixture(t, Config{CoreGapped: true, DelegateTimer: true})
-	if !f.m.Config().CoreGapped || f.m.Metrics() == nil {
+	if !f.m.Config().CoreGapped {
 		t.Fatal("monitor accessors")
 	}
 	r := f.newRealm(t, 2)
@@ -28,6 +29,13 @@ func TestAccessorsAndMetadata(t *testing.T) {
 	f.m.DedicateCore(3)
 	if f.m.DedicatedCount() != 1 {
 		t.Fatal("dedicated count after dedicate")
+	}
+	// The lifecycle counts land in the engine's counter bank.
+	eng := f.mach.Engine()
+	for id, want := range map[sim.CounterID]uint64{cRealmCreate: 1, cRECCreate: 1, cCoreDedicate: 1, cCoreReclaim: 0} {
+		if got := eng.CounterValue(id); got != want {
+			t.Errorf("%s = %d, want %d", sim.CounterName(id), got, want)
+		}
 	}
 }
 

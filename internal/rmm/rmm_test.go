@@ -8,7 +8,6 @@ import (
 	"coregap/internal/granule"
 	"coregap/internal/hw"
 	"coregap/internal/sim"
-	"coregap/internal/trace"
 	"coregap/internal/uarch"
 )
 
@@ -22,7 +21,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	eng := sim.NewEngine(3)
 	mach := hw.NewMachine(eng, hw.DefaultConfig(8))
-	return &fixture{m: New(mach, cfg, trace.NewSet()), mach: mach}
+	return &fixture{m: New(mach, cfg), mach: mach}
 }
 
 // alloc delegates and returns a fresh granule.

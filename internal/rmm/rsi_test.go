@@ -7,14 +7,13 @@ import (
 	"coregap/internal/hw"
 	"coregap/internal/sim"
 	"coregap/internal/smc"
-	"coregap/internal/trace"
 )
 
 func newActiveRealm(t *testing.T, cfg Config) (*Monitor, *Realm) {
 	t.Helper()
 	eng := sim.NewEngine(9)
 	mach := hw.NewMachine(eng, hw.DefaultConfig(4))
-	m := New(mach, cfg, trace.NewSet())
+	m := New(mach, cfg)
 	alloc := func(pa uint64) uint64 {
 		if err := mach.GPT().Delegate(granule.PA(pa)); err != nil {
 			t.Fatal(err)

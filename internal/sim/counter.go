@@ -1,15 +1,17 @@
 package sim
 
 // The counter registry is the simulated analogue of a CPU's perf
-// counters: cheap named uint64 event counts that are always on.
+// counters: cheap named uint64 event counts that are always on. It is
+// the only counter registry; every count a trial reports is one.
 //
 // The split that keeps incrementing off the map: names are registered
-// once, process-wide, at package init time (DefineCounter returns a
-// dense CounterID), and each Engine owns a plain []uint64 bank indexed
-// by that id. An increment on the hot path is a bounds check and an
-// add — no map lookup, no interning, no allocation once the bank has
-// grown to the registry size. Reading names back out (trial capture,
-// CSV export) is the cold path and takes a lock.
+// once, process-wide — at package init time, or, for per-VM counters,
+// once per distinct VM name — (DefineCounter returns a dense
+// CounterID), and each Engine owns a plain []uint64 bank indexed by
+// that id. An increment on the hot path is a bounds check and an add —
+// no map lookup, no interning, no allocation once the bank has grown to
+// the registry size. Reading names back out (trial capture, CSV export)
+// is the cold path and takes a lock.
 
 import "sync"
 
@@ -29,7 +31,8 @@ var counterReg struct {
 //
 //	var cWorldSwitch = sim.DefineCounter("hw.world_switch")
 //
-// so that by the time any engine runs, the registry is complete.
+// or once per distinct run-time name (core memoizes each VM name's
+// counters). A reader that knows only a name resolves it here too.
 func DefineCounter(name string) CounterID {
 	counterReg.Lock()
 	defer counterReg.Unlock()
@@ -98,8 +101,8 @@ func (e *Engine) Counters(f func(name string, v uint64)) {
 }
 
 // growCounts sizes the bank to the current registry. It runs at most a
-// handful of times per engine (once, when every counter is registered
-// at init time); after that Count is a pure array increment.
+// handful of times per engine (at init-time size, then per new VM name);
+// after that Count is a pure array increment.
 func (e *Engine) growCounts() {
 	counterReg.Lock()
 	n := len(counterReg.names)

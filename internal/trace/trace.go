@@ -1,6 +1,8 @@
-// Package trace collects measurements from simulation runs: counters,
-// latency histograms with percentile queries, and time series suitable for
-// regenerating the paper's tables and figures.
+// Package trace collects measurements from simulation runs: latency
+// histograms with percentile queries, sim-time windows, and time series
+// suitable for regenerating the paper's tables and figures. Event counts
+// are not kept here: every counter is a sim.DefineCounter in the
+// engine's counter bank.
 package trace
 
 import (
@@ -11,25 +13,6 @@ import (
 
 	"coregap/internal/sim"
 )
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	name  string
-	n     uint64
-	epoch uint64
-}
-
-// Name reports the counter's name.
-func (c *Counter) Name() string { return c.name }
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 { return c.n }
 
 // Hist records duration samples and answers mean/percentile queries. It
 // is a streaming log-linear Recorder (see recorder.go): memory is bounded
@@ -121,55 +104,20 @@ func ReleaseHist(h *Hist) {
 	histPool.Put(h)
 }
 
-// Gauge tracks the latest value of a quantity along with its extremes.
-type Gauge struct {
-	name     string
-	v        float64
-	min, max float64
-	set      bool
-	epoch    uint64
-}
-
-// Name reports the gauge's name.
-func (g *Gauge) Name() string { return g.name }
-
-// Set records a new value.
-func (g *Gauge) Set(v float64) {
-	if !g.set {
-		g.min, g.max = v, v
-		g.set = true
-	}
-	if v < g.min {
-		g.min = v
-	}
-	if v > g.max {
-		g.max = v
-	}
-	g.v = v
-}
-
-// Value reports the most recent value.
-func (g *Gauge) Value() float64 { return g.v }
-
-// Min reports the smallest value ever set.
-func (g *Gauge) Min() float64 { return g.min }
-
-// Max reports the largest value ever set.
-func (g *Gauge) Max() float64 { return g.max }
-
-// Set is a named collection of metrics for one simulation run.
+// Set is a named collection of latency metrics for one simulation run:
+// whole-run histograms and, when a window width is set, windowed
+// summaries. Counts live in the engine's counter bank (sim.DefineCounter),
+// not here.
 //
 // A Set is resettable for reuse across pooled trials: Reset bumps the
 // set's epoch, which logically empties it — metrics registered before
-// the bump are invisible to Has*/…Names and are revived (zeroed in
+// the bump are invisible to …Names and are revived (zeroed in
 // place, sample capacity retained) the next time their name is
 // requested. A reset Set is therefore observationally identical to
 // NewSet() while reaching steady state with no per-trial allocation.
 type Set struct {
-	epoch    uint64
-	counters map[string]*Counter
-	hists    map[string]*Hist
-	gauges   map[string]*Gauge
+	epoch uint64
+	hists map[string]*Hist
 
 	// winWidth enables windowed recording (see Lat): 0 means whole-run
 	// histograms only. It is per-run configuration, cleared by Reset.
@@ -180,10 +128,8 @@ type Set struct {
 // NewSet returns an empty metric set.
 func NewSet() *Set {
 	return &Set{
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Hist),
-		gauges:   make(map[string]*Gauge),
-		wins:     make(map[string]*Windowed),
+		hists: make(map[string]*Hist),
+		wins:  make(map[string]*Windowed),
 	}
 }
 
@@ -217,19 +163,6 @@ func (s *Set) Lat(name string, now sim.Time, d sim.Duration) {
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
-func (s *Set) Counter(name string) *Counter {
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{name: name, epoch: s.epoch}
-		s.counters[name] = c
-	} else if c.epoch != s.epoch {
-		c.epoch = s.epoch
-		c.n = 0
-	}
-	return c
-}
-
 // Hist returns the named histogram, creating it on first use.
 func (s *Set) Hist(name string) *Hist {
 	h, ok := s.hists[name]
@@ -241,18 +174,6 @@ func (s *Set) Hist(name string) *Hist {
 		h.Reset()
 	}
 	return h
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (s *Set) Gauge(name string) *Gauge {
-	g, ok := s.gauges[name]
-	if !ok {
-		g = &Gauge{name: name, epoch: s.epoch}
-		s.gauges[name] = g
-	} else if g.epoch != s.epoch {
-		*g = Gauge{name: g.name, epoch: s.epoch}
-	}
-	return g
 }
 
 // Windowed returns the named windowed latency metric, creating it on
@@ -272,24 +193,6 @@ func (s *Set) Windowed(name string) *Windowed {
 		w.reset()
 	}
 	return w
-}
-
-// HasCounter reports whether the named counter exists (without creating it).
-func (s *Set) HasCounter(name string) bool {
-	c, ok := s.counters[name]
-	return ok && c.epoch == s.epoch
-}
-
-// CounterNames reports all counter names, sorted.
-func (s *Set) CounterNames() []string {
-	names := make([]string, 0, len(s.counters))
-	for n, c := range s.counters {
-		if c.epoch == s.epoch {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // HistNames reports all histogram names, sorted.
@@ -322,9 +225,6 @@ func (s *Set) WindowedNames() []string {
 // String renders the set as a human-readable report.
 func (s *Set) String() string {
 	var b strings.Builder
-	for _, n := range s.CounterNames() {
-		fmt.Fprintf(&b, "counter %-40s %d\n", n, s.counters[n].Value())
-	}
 	for _, n := range s.HistNames() {
 		h := s.hists[n]
 		fmt.Fprintf(&b, "hist    %-40s n=%d mean=%v p50=%v p95=%v p99=%v max=%v\n",

@@ -10,22 +10,6 @@ import (
 	"coregap/internal/sim"
 )
 
-func TestCounter(t *testing.T) {
-	s := NewSet()
-	c := s.Counter("exits")
-	c.Inc()
-	c.Add(9)
-	if c.Value() != 10 {
-		t.Fatalf("counter = %d, want 10", c.Value())
-	}
-	if s.Counter("exits") != c {
-		t.Fatal("counter not memoized")
-	}
-	if !s.HasCounter("exits") || s.HasCounter("nope") {
-		t.Fatal("HasCounter wrong")
-	}
-}
-
 func TestHistBasics(t *testing.T) {
 	s := NewSet()
 	h := s.Hist("lat")
@@ -200,30 +184,18 @@ func TestHistStddev(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	s := NewSet()
-	g := s.Gauge("q")
-	g.Set(5)
-	g.Set(2)
-	g.Set(8)
-	if g.Value() != 8 || g.Min() != 2 || g.Max() != 8 {
-		t.Fatalf("gauge = %v min %v max %v", g.Value(), g.Min(), g.Max())
-	}
-}
-
 func TestSetNamesSorted(t *testing.T) {
 	s := NewSet()
-	s.Counter("b")
-	s.Counter("a")
-	s.Hist("z")
-	s.Hist("y")
-	if names := s.CounterNames(); names[0] != "a" || names[1] != "b" {
-		t.Fatalf("counter names = %v", names)
-	}
-	if names := s.HistNames(); names[0] != "y" || names[1] != "z" {
+	s.SetWindow(sim.Millisecond)
+	s.Lat("z", 0, 1)
+	s.Lat("y", 0, 1)
+	if names := s.HistNames(); len(names) != 2 || names[0] != "y" || names[1] != "z" {
 		t.Fatalf("hist names = %v", names)
 	}
-	if out := s.String(); !strings.Contains(out, "counter") || !strings.Contains(out, "hist") {
+	if names := s.WindowedNames(); len(names) != 2 || names[0] != "y" || names[1] != "z" {
+		t.Fatalf("windowed names = %v", names)
+	}
+	if out := s.String(); !strings.Contains(out, "hist") || !strings.Contains(out, "windowed") {
 		t.Fatalf("String missing sections: %q", out)
 	}
 }

@@ -33,13 +33,13 @@ func (d *BlkDevice) Submit(vcpu int, req guest.IORequest) {
 	c := v.costs
 	if !d.vq.Push(vcpu, req) {
 		// Ring full: the driver retries after the device makes progress.
-		v.count("vmm.blk.ring_full")
+		v.eng.Count(cBlkRingFull)
 		v.eng.After(10*sim.Microsecond, "blk-ring-retry", v.bind(blkRetry, devCall{vcpu: vcpu, req: req}))
 		return
 	}
 	d.requests++
 	d.bytes += uint64(req.Bytes)
-	v.count("vmm.blk.requests")
+	v.eng.Count(cBlkRequests)
 
 	emul := c.BlkPerRequest + sim.Duration(c.BlkNsPerByte*float64(req.Bytes))
 	media := c.BlkMediaLatency + sim.Duration(c.BlkMediaNsPerByte*float64(req.Bytes))
@@ -121,14 +121,14 @@ func (d *NetDevice) packets(bytes int) int {
 func (d *NetDevice) Submit(vcpu int, req guest.IORequest) {
 	v := d.vmm
 	if !d.txq.Push(vcpu, req) {
-		v.count("vmm.net.ring_full")
+		v.eng.Count(cNetRingFull)
 		v.eng.After(10*sim.Microsecond, "net-ring-retry", v.bind(netRetry, devCall{vcpu: vcpu, req: req}))
 		return
 	}
 	pkts := d.packets(req.Bytes)
 	d.txPkts += uint64(pkts)
 	d.txBytes += uint64(req.Bytes)
-	v.count("vmm.net.tx")
+	v.eng.Count(cNetTX)
 
 	work := sim.Duration(pkts) * v.costs.NetPerPacket
 	wire := v.costs.WireLatency + sim.Duration(v.costs.WireNsPerByte*float64(req.Bytes))
@@ -165,7 +165,7 @@ func (d *NetDevice) DeliverToGuest(vcpu, bytes, tag int) {
 	pkts := d.packets(bytes)
 	d.rxPkts += uint64(pkts)
 	d.rxBytes += uint64(bytes)
-	v.count("vmm.net.rx")
+	v.eng.Count(cNetRX)
 
 	work := sim.Duration(pkts) * v.costs.NetPerPacket
 	v.k.Submit(v.ioThread, "net-rx", work, v.bind(netRxDone, devCall{vcpu: vcpu, bytes: bytes, tag: tag}))
@@ -201,7 +201,7 @@ func (d *VFDevice) ConnectPeer(fn func(bytes, tag int)) { d.peer = fn }
 func (d *VFDevice) Submit(vcpu int, req guest.IORequest) {
 	v := d.vmm
 	d.txBytes += uint64(req.Bytes)
-	v.count("vmm.vf.tx")
+	v.eng.Count(cVFTX)
 	wire := v.costs.VFDMALatency + v.costs.WireLatency +
 		sim.Duration(v.costs.WireNsPerByte*float64(req.Bytes))
 	v.eng.After(wire, "vf-wire", v.bind(vfWireDone, devCall{req: req}))
@@ -220,7 +220,7 @@ func vfWireDone(c devCall) {
 func (d *VFDevice) DeliverToGuest(vcpu, bytes, tag int) {
 	v := d.vmm
 	d.rxBytes += uint64(bytes)
-	v.count("vmm.vf.rx")
+	v.eng.Count(cVFRX)
 	v.eng.After(v.costs.VFDMALatency, "vf-dma", v.bind(vfDMADone, devCall{vcpu: vcpu, bytes: bytes, tag: tag}))
 }
 

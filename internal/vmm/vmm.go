@@ -12,7 +12,6 @@ import (
 	"coregap/internal/guest"
 	"coregap/internal/host"
 	"coregap/internal/sim"
-	"coregap/internal/trace"
 )
 
 // InjectFunc delivers a device event to a guest vCPU. The orchestrator
@@ -55,11 +54,21 @@ func DefaultCosts() Costs {
 	}
 }
 
+// Device-model counters, summed over every VMM on the node.
+var (
+	cBlkRequests = sim.DefineCounter("vmm.blk.requests")
+	cBlkRingFull = sim.DefineCounter("vmm.blk.ring_full")
+	cNetTX       = sim.DefineCounter("vmm.net.tx")
+	cNetRX       = sim.DefineCounter("vmm.net.rx")
+	cNetRingFull = sim.DefineCounter("vmm.net.ring_full")
+	cVFTX        = sim.DefineCounter("vmm.vf.tx")
+	cVFRX        = sim.DefineCounter("vmm.vf.rx")
+)
+
 // VMM is one guest's user-space device model process.
 type VMM struct {
 	k     *host.Kernel
 	eng   *sim.Engine
-	met   *trace.Set
 	costs Costs
 
 	// ioThread runs all virtio emulation for this VMM (kvmtool's I/O
@@ -80,11 +89,10 @@ type VMM struct {
 
 // New creates a VMM whose I/O thread is pinned to ioCore (hw.NoCore for
 // unpinned, as in the shared-core baseline).
-func New(name string, k *host.Kernel, costs Costs, ioCore int, met *trace.Set) *VMM {
+func New(name string, k *host.Kernel, costs Costs, ioCore int) *VMM {
 	v := &VMM{
 		k:     k,
 		eng:   k.Engine(),
-		met:   met,
 		costs: costs,
 	}
 	pin := hostPin(ioCore)
@@ -140,10 +148,4 @@ type devCall struct {
 func (v *VMM) bind(fn func(devCall), c devCall) func() {
 	c.v = v
 	return v.calls.Bind(fn, c)
-}
-
-func (v *VMM) count(name string) {
-	if v.met != nil {
-		v.met.Counter(name).Inc()
-	}
 }

@@ -15,8 +15,8 @@ func newVMM(t *testing.T, cores, ioCore int) (*sim.Engine, *host.Kernel, *VMM) {
 	t.Helper()
 	eng := sim.NewEngine(11)
 	m := hw.NewMachine(eng, hw.DefaultConfig(cores))
-	k := host.NewKernel(m, gic.NewDistributor(m), trace.NewSet())
-	v := New("vm0", k, DefaultCosts(), ioCore, k.Metrics())
+	k := host.NewKernel(m, gic.NewDistributor(m))
+	v := New("vm0", k, DefaultCosts(), ioCore)
 	return eng, k, v
 }
 
