@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race race-fast smoke trace-smoke determinism digests bench bench-full bench-paper profile clean
+.PHONY: all check fmt vet build test race race-fast smoke trace-smoke determinism digests bench bench-full bench-paper profile unreachable clean
 
 all: check
 
@@ -92,6 +92,12 @@ bench-paper:
 profile:
 	$(GO) run ./cmd/benchsuite -exp fig6 -parallel 1 -cpuprofile cpu.pprof -memprofile mem.pprof >/dev/null
 	@echo "profile: wrote cpu.pprof and mem.pprof (go tool pprof cpu.pprof)"
+
+# Report-only: every non-test func under internal/ that no binary
+# (cmd/*, examples/*, bench) links, with its line count. Never fails on
+# what it finds; new dead code shows up here in review.
+unreachable:
+	$(GO) run ./scripts/unreachable
 
 clean:
 	$(GO) clean ./...

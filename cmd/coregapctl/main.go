@@ -206,6 +206,17 @@ func main() {
 	printMemStats()
 }
 
+// sortedKeys returns m's keys in order, so every map a trial carries
+// prints the same way on every run.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // printTrial renders one trial: the scenario header, sorted metric
 // values and labels, deterministic metadata, any windowed-latency
 // logs, and — under -counters — the engine counter bank. Shared by the
@@ -213,12 +224,7 @@ func main() {
 func printTrial(spec exp.ScenarioSpec, trial exp.Trial) {
 	fmt.Printf("config=%s workload=%s cores=%d vcpus=%d seed=%d\n",
 		spec.Config, spec.ID, spec.Cores, spec.Workload.VCPUs, spec.Seed)
-	keys := make([]string, 0, len(trial.Values))
-	for k := range trial.Values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(trial.Values) {
 		v := trial.Values[k]
 		if strings.HasSuffix(k, ".ns") || k == "ns" {
 			fmt.Printf("  %-20s %v\n", k, sim.Duration(v))
@@ -226,31 +232,19 @@ func printTrial(spec exp.ScenarioSpec, trial exp.Trial) {
 			fmt.Printf("  %-20s %.3f\n", k, v)
 		}
 	}
-	for k, labels := range trial.Labels {
-		fmt.Printf("  %-20s %s\n", k, strings.Join(labels, ", "))
+	for _, k := range sortedKeys(trial.Labels) {
+		fmt.Printf("  %-20s %s\n", k, strings.Join(trial.Labels[k], ", "))
 	}
 	fmt.Printf("  %s\n", trial.Meta)
-	if len(trial.Windows) > 0 {
-		wnames := make([]string, 0, len(trial.Windows))
-		for name := range trial.Windows {
-			wnames = append(wnames, name)
-		}
-		sort.Strings(wnames)
-		for _, name := range wnames {
-			wl := trace.NewWindowLog(name, "per-window latency", spec.MetricsWindow)
-			wl.Add(name, trial.Windows[name])
-			fmt.Println()
-			fmt.Print(wl.String())
-		}
+	for _, name := range sortedKeys(trial.Windows) {
+		wl := trace.NewWindowLog(name, "per-window latency", spec.MetricsWindow)
+		wl.Add(name, trial.Windows[name])
+		fmt.Println()
+		fmt.Print(wl.String())
 	}
 	if *counters {
-		cnames := make([]string, 0, len(trial.Counters))
-		for name := range trial.Counters {
-			cnames = append(cnames, name)
-		}
-		sort.Strings(cnames)
 		fmt.Println("engine counters:")
-		for _, name := range cnames {
+		for _, name := range sortedKeys(trial.Counters) {
 			fmt.Printf("  %-24s %d\n", name, trial.Counters[name])
 		}
 	}

@@ -364,12 +364,6 @@ func (v *VCPU) finishExit(info exitInfo) {
 	case ExitHalt:
 		return // never re-entered
 	}
-	if v.vm.suspended {
-		// Host-initiated suspend: park instead of re-entering. The
-		// monitor keeps the core dedicated and the context sealed.
-		v.parked = true
-		return
-	}
 	v.postRunCall()
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"coregap/internal/gic"
 	"coregap/internal/granule"
 	"coregap/internal/host"
 	"coregap/internal/hw"
@@ -79,7 +78,6 @@ func Baseline() Options { return Options{Mode: SharedCore} }
 type Node struct {
 	Eng  *sim.Engine
 	Mach *hw.Machine
-	Dist *gic.Distributor
 	Kern *host.Kernel
 	Mon  *rmm.Monitor
 	Plan *planner.Planner
@@ -100,14 +98,12 @@ type Node struct {
 // Context bundles the expensive, resettable substrate a Node is built
 // on: the simulation engine (event heap, free list, random sources),
 // the machine (core microarchitectural buffers, the multi-megabyte
-// granule table, shared socket state), the interrupt distributor and
-// the metric set. A Context is reused across trials via Reset; the
-// cheap per-trial object graph (kernel, monitor, planner, VMs) is
-// rebuilt fresh on top by NewNodeIn.
+// granule table, shared socket state) and the metric set. A Context is
+// reused across trials via Reset; the cheap per-trial object graph
+// (kernel, monitor, planner, VMs) is rebuilt fresh on top by NewNodeIn.
 type Context struct {
 	Eng  *sim.Engine
 	Mach *hw.Machine
-	Dist *gic.Distributor
 	Met  *trace.Set
 }
 
@@ -115,23 +111,20 @@ type Context struct {
 // including the first.
 func NewContext() *Context {
 	eng := sim.NewEngine(0)
-	mach := hw.NewMachine(eng, hw.DefaultConfig(1))
 	return &Context{
 		Eng:  eng,
-		Mach: mach,
-		Dist: gic.NewDistributor(mach),
+		Mach: hw.NewMachine(eng, hw.DefaultConfig(1)),
 		Met:  trace.NewSet(),
 	}
 }
 
 // Reset rewinds every pooled component for a trial on a cores-core
 // machine seeded with seed. Afterwards the context is observationally
-// identical to a freshly built engine/machine/distributor/metric set:
+// identical to a freshly built engine/machine/metric set:
 // determinism depends only on (cores, seed), never on what ran before.
 func (c *Context) Reset(cores int, seed uint64) {
 	c.Eng.Reset(seed)
 	c.Mach.Reset(hw.DefaultConfig(cores))
-	c.Dist.Reset()
 	c.Met.Reset()
 }
 
@@ -150,12 +143,11 @@ func NewNodeIn(ctx *Context, opts Options, p Params) *Node {
 	n := &Node{
 		Eng:     ctx.Eng,
 		Mach:    ctx.Mach,
-		Dist:    ctx.Dist,
-		Kern:    host.NewKernel(ctx.Mach, ctx.Dist),
+		Kern:    host.NewKernel(ctx.Mach),
 		Met:     ctx.Met,
 		P:       p,
 		Opts:    opts,
-		Plan:    planner.New(ctx.Mach.NumCores(), 1),
+		Plan:    planner.New(ctx.Mach.NumCores()),
 		tagSeed: ctx.Eng.Source("core.tags"),
 	}
 	n.Mon = rmm.New(ctx.Mach, rmm.Config{

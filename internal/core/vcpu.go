@@ -113,9 +113,6 @@ type VCPU struct {
 	// window from the host's request to the committed migration.
 	pendingRebind  hw.CoreID
 	rebindInFlight bool
-	// parked marks a vCPU held out of execution by a host-initiated
-	// suspend; resume re-issues its run call.
-	parked bool
 	// exit is the record of the exit in flight, from exitToHost until
 	// the monitor posts it: the mailbox carries &exit rather than a
 	// boxed copy, and the call protocol (one outstanding response)

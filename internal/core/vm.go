@@ -36,9 +36,6 @@ type VM struct {
 	// for the Table 3 deliver-and-acknowledge latency measurement.
 	vipiSentAt []sim.Time
 
-	// suspended marks a host-initiated suspension in progress (§7).
-	suspended bool
-
 	// The VM's counters in the engine bank and its latency-metric
 	// names, resolved once per VM instead of built per event.
 	met          *vmCounters
@@ -57,8 +54,6 @@ type vmCounters struct {
 	ticks          sim.CounterID
 	ticksDelegated sim.CounterID
 	vipiDelegated  sim.CounterID
-	suspend        sim.CounterID
-	resume         sim.CounterID
 	rebindOK       sim.CounterID
 	rebindFailed   sim.CounterID
 }
@@ -83,8 +78,6 @@ func vmCounterIDs(name string) *vmCounters {
 		ticks:          def("ticks"),
 		ticksDelegated: def("ticks.delegated"),
 		vipiDelegated:  def("vipi.delegated"),
-		suspend:        def("suspend"),
-		resume:         def("resume"),
 		rebindOK:       def("rebind.ok"),
 		rebindFailed:   def("rebind.failed"),
 	}

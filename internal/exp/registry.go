@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"coregap/internal/trace"
@@ -147,13 +146,6 @@ func Lookup(name string) (*Experiment, bool) {
 // Names reports all registered experiment names in registration order
 // (the paper's presentation order).
 func Names() []string { return append([]string(nil), order...) }
-
-// SortedNames reports all registered experiment names sorted.
-func SortedNames() []string {
-	names := Names()
-	sort.Strings(names)
-	return names
-}
 
 // Run executes the named experiment with the given runner (nil: default
 // pool) and profile.

@@ -403,7 +403,7 @@ func (t *Trial) runNullAsync(ctx *TrialContext, spec ScenarioSpec) error {
 	parts := ctx.kernelParts(2, spec.Seed)
 	eng, mach := parts.Eng, parts.Mach
 	traceOn(eng, spec)
-	kern := host.NewKernel(parts.Mach, parts.Dist)
+	kern := host.NewKernel(parts.Mach)
 	mb := rpc.NewMailbox(eng, "null")
 	hist := trace.AcquireHist("null.async")
 	defer trace.ReleaseHist(hist)

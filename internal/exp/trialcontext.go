@@ -10,8 +10,8 @@ import (
 // across every trial that worker executes. It wraps a core.Context —
 // engine (event heap, node free list, named sources), machine (per-core
 // microarchitectural buffers, the multi-megabyte granule table, shared
-// socket state), interrupt distributor and metric set — and rewinds it
-// per trial instead of rebuilding the object graph.
+// socket state) and metric set — and rewinds it per trial instead of
+// rebuilding the object graph.
 //
 // Construction of that graph, not simulation, dominated the parallel
 // suite before pooling (the granule table alone was ~79% of all bytes
@@ -67,8 +67,8 @@ func (c *TrialContext) machine(cores int, seed uint64) (*sim.Engine, *hw.Machine
 	return c.core.Eng, c.core.Mach
 }
 
-// kernelParts is machine plus the pooled distributor and metric set,
-// for raw-transport trials that build a bare host kernel.
+// kernelParts is the pooled engine, machine and metric set, for
+// raw-transport trials that build a bare host kernel.
 func (c *TrialContext) kernelParts(cores int, seed uint64) *core.Context {
 	if c == nil {
 		ctx := core.NewContext()

@@ -1,9 +1,8 @@
-// Package gic models the interrupt controller mechanisms the design
-// depends on (§4.4, Fig. 5): the distributor that routes device
-// interrupts to cores, the per-vCPU list registers (ich_lr<n>_el2)
-// through which virtual interrupts are presented to a guest, and the
-// per-vCPU virtual timer whose ticks dominate VM exits for compute-bound
-// workloads.
+// Package gic models the per-vCPU list registers (ich_lr<n>_el2) of the
+// GIC virtual CPU interface, through which virtual interrupts are
+// presented to a guest (§4.4, Fig. 5). Physical interrupt delivery
+// (SGIs/IPIs) is in package hw; a guest's virtual-timer ticks are a
+// sim.Ticker per vCPU in package core.
 package gic
 
 import (

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"coregap/internal/hw"
-	"coregap/internal/sim"
 )
 
 func TestInjectAckEOILifecycle(t *testing.T) {
@@ -184,87 +183,6 @@ func TestListRegsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVTimer(t *testing.T) {
-	eng := sim.NewEngine(1)
-	fired := 0
-	vt := NewVTimer(eng, "vtimer", func() { fired++ })
-	vt.Arm(100)
-	if !vt.Armed() {
-		t.Fatal("not armed")
-	}
-	eng.Run()
-	if fired != 1 || vt.Ticks() != 1 {
-		t.Fatalf("fired=%d ticks=%d", fired, vt.Ticks())
-	}
-	if vt.Armed() {
-		t.Fatal("armed after fire")
-	}
-	vt.Arm(50)
-	vt.Disarm()
-	eng.Run()
-	if fired != 1 {
-		t.Fatal("disarmed timer fired")
-	}
-	// Re-arm from the callback models periodic guest timers.
-	vt2 := NewVTimer(eng, "p", nil)
-	n := 0
-	vt2.onFire = func() {
-		n++
-		if n < 5 {
-			vt2.Arm(10)
-		}
-	}
-	vt2.Arm(10)
-	eng.Run()
-	if n != 5 || vt2.Ticks() != 5 {
-		t.Fatalf("periodic ticks = %d", n)
-	}
-}
-
-func TestDistributorRouting(t *testing.T) {
-	eng := sim.NewEngine(1)
-	m := hw.NewMachine(eng, hw.DefaultConfig(4))
-	d := NewDistributor(m)
-
-	var got []hw.IRQ
-	m.Core(2).SetIRQHandler(func(_ hw.CoreID, irq hw.IRQ) { got = append(got, irq) })
-
-	irq := hw.SPIBase + 4
-	if d.Target(irq) != hw.NoCore {
-		t.Fatal("unrouted target")
-	}
-	d.Trigger(irq) // unrouted + disabled: dropped
-	d.Route(irq, 2)
-	if d.Target(irq) != 2 {
-		t.Fatal("target after route")
-	}
-	d.Trigger(irq)
-	d.Disable(irq)
-	d.Trigger(irq) // masked: dropped
-	eng.Run()
-	if len(got) != 1 || got[0] != irq {
-		t.Fatalf("delivered = %v", got)
-	}
-	if d.Delivered(irq) != 1 {
-		t.Fatalf("delivered count = %d", d.Delivered(irq))
-	}
-}
-
-func TestDistributorRetargetAll(t *testing.T) {
-	eng := sim.NewEngine(1)
-	m := hw.NewMachine(eng, hw.DefaultConfig(4))
-	d := NewDistributor(m)
-	d.Route(hw.SPIBase+1, 1)
-	d.Route(hw.SPIBase+2, 1)
-	d.Route(hw.SPIBase+3, 2)
-	if n := d.RetargetAll(1, 3); n != 2 {
-		t.Fatalf("retargeted %d, want 2", n)
-	}
-	if d.Target(hw.SPIBase+1) != 3 || d.Target(hw.SPIBase+2) != 3 || d.Target(hw.SPIBase+3) != 2 {
-		t.Fatal("retarget wrong")
 	}
 }
 

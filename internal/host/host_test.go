@@ -3,7 +3,6 @@ package host
 import (
 	"testing"
 
-	"coregap/internal/gic"
 	"coregap/internal/hw"
 	"coregap/internal/sim"
 )
@@ -12,9 +11,7 @@ func newKernel(t *testing.T, cores int) (*sim.Engine, *hw.Machine, *Kernel) {
 	t.Helper()
 	eng := sim.NewEngine(7)
 	m := hw.NewMachine(eng, hw.DefaultConfig(cores))
-	d := gic.NewDistributor(m)
-	k := NewKernel(m, d)
-	return eng, m, k
+	return eng, m, NewKernel(m)
 }
 
 func TestSubmitRunsWork(t *testing.T) {
@@ -310,15 +307,18 @@ func TestOnlineCoreRestoresScheduling(t *testing.T) {
 }
 
 func TestIRQRetargetOnOffline(t *testing.T) {
-	eng, _, k := newKernel(t, 2)
+	eng, m, k := newKernel(t, 2)
 	irq := hw.SPIBase + 1
-	k.Distributor().Route(irq, 1)
+	var got []hw.CoreID
+	k.RegisterIRQ(irq, func(core hw.CoreID) { got = append(got, core) })
 	if err := k.OfflineCore(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if got := k.Distributor().Target(irq); got != 0 {
-		t.Fatalf("irq target = %v, want 0", got)
+	m.SendIPI(0, 1, irq)
+	eng.Run()
+	if len(got) != 1 || got[0] != 0 {
+		t.Fatalf("irq for offlined core 1 handled on %v, want [0]", got)
 	}
 }
 

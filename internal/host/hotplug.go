@@ -67,16 +67,6 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 	cs.fifoQ = nil
 	cs.normQ = nil
 
-	// Retarget device interrupts to the lowest-numbered online core.
-	if k.dist != nil {
-		for _, c := range k.mach.Cores() {
-			if s, ok := k.cores[c.ID()]; ok && !s.offline {
-				k.dist.RetargetAll(id, c.ID())
-				break
-			}
-		}
-	}
-
 	// Re-enqueue displaced tasks elsewhere.
 	for _, t := range displaced {
 		t.state = Blocked // wake() requires Blocked→Runnable

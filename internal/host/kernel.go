@@ -3,7 +3,6 @@ package host
 import (
 	"errors"
 
-	"coregap/internal/gic"
 	"coregap/internal/hw"
 	"coregap/internal/sim"
 	"coregap/internal/uarch"
@@ -27,7 +26,6 @@ var (
 type Kernel struct {
 	eng  *sim.Engine
 	mach *hw.Machine
-	dist *gic.Distributor
 
 	cores   map[hw.CoreID]*coreSched
 	quantum sim.Duration
@@ -65,11 +63,10 @@ type coreSched struct {
 }
 
 // NewKernel boots the host kernel on all of the machine's cores.
-func NewKernel(mach *hw.Machine, dist *gic.Distributor) *Kernel {
+func NewKernel(mach *hw.Machine) *Kernel {
 	k := &Kernel{
 		eng:           mach.Engine(),
 		mach:          mach,
-		dist:          dist,
 		cores:         make(map[hw.CoreID]*coreSched),
 		quantum:       DefaultQuantum,
 		irqHandlers:   make(map[hw.IRQ]func(hw.CoreID)),
@@ -99,9 +96,6 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 
 // Machine reports the underlying machine.
 func (k *Kernel) Machine() *hw.Machine { return k.mach }
-
-// Distributor reports the interrupt distributor.
-func (k *Kernel) Distributor() *gic.Distributor { return k.dist }
 
 // SetQuantum overrides the normal-class timeslice.
 func (k *Kernel) SetQuantum(q sim.Duration) { k.quantum = q }

@@ -107,12 +107,7 @@ func (x *Executor) Start(label string, work sim.Duration, speed float64, onDone 
 	x.startedAt = x.eng.Now()
 	x.busySince = x.eng.Now()
 	x.onDone = onDone
-	x.schedule()
-}
-
-func (x *Executor) schedule() {
-	wall := sim.Duration(float64(x.remaining) / x.speed)
-	x.ev = x.eng.After(wall, "exec", x.doneFn)
+	x.ev = x.eng.After(sim.Duration(float64(work)/speed), "exec", x.doneFn)
 }
 
 func (x *Executor) complete() {
@@ -149,25 +144,4 @@ func (x *Executor) Preempt() sim.Duration {
 	x.running = false
 	x.onDone = nil
 	return x.remaining
-}
-
-// SetSpeed changes the speed factor of the running context (for example,
-// when its working set warms up). A no-op when idle.
-func (x *Executor) SetSpeed(speed float64) {
-	if !x.running {
-		return
-	}
-	if speed <= 0 {
-		panic("hw: non-positive speed factor")
-	}
-	// Account for work done so far, then re-schedule the remainder.
-	done := x.consumed()
-	if done > x.remaining {
-		done = x.remaining
-	}
-	x.remaining -= done
-	x.startedAt = x.eng.Now()
-	x.speed = speed
-	x.eng.Cancel(x.ev)
-	x.schedule()
 }

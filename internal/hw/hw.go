@@ -23,7 +23,6 @@ import (
 var (
 	cWorldSwitch = sim.DefineCounter("hw.world_switches")
 	cIPISent     = sim.DefineCounter("hw.ipis")
-	cIRQSent     = sim.DefineCounter("hw.irqs")
 	cLLCFill     = sim.DefineCounter("uarch.llc_fills")
 	cLLCEvict    = sim.DefineCounter("uarch.llc_evictions")
 	cFlush       = sim.DefineCounter("uarch.flushes")
@@ -377,7 +376,7 @@ func (m *Machine) SendIPI(from, to CoreID, irq IRQ) {
 }
 
 // wire is an interrupt in flight to a core: the payload of the delivery
-// event SendIPI and DeliverIRQ schedule.
+// event SendIPI schedules.
 type wire struct {
 	target *Core
 	from   CoreID
@@ -389,16 +388,6 @@ func deliver(w wire) {
 	if w.target.handler != nil {
 		w.target.handler(w.from, w.irq)
 	}
-}
-
-// DeliverIRQ delivers a device interrupt (SPI) to a core immediately
-// after the routing latency; the distributor model in package gic decides
-// the target core.
-func (m *Machine) DeliverIRQ(to CoreID, irq IRQ) {
-	target := m.Core(to)
-	m.eng.Count(cIRQSent)
-	m.eng.Trace().Span(sim.TCIRQ, "hw.irq", int32(to), m.ipiLatency, int64(irq))
-	m.eng.After(m.ipiLatency, "irq", m.wires.Bind(deliver, wire{target, NoCore, irq}))
 }
 
 // SetPower transitions a core's hotplug state. The transition itself is

@@ -82,9 +82,9 @@ func TestDeviceIRQDelivery(t *testing.T) {
 	var got IRQ
 	var from CoreID = 99
 	m.Core(0).SetIRQHandler(func(f CoreID, irq IRQ) { got, from = irq, f })
-	m.DeliverIRQ(0, SPIBase+3)
+	m.SendIPI(1, 0, SPIBase+3)
 	eng.Run()
-	if got != SPIBase+3 || from != NoCore {
+	if got != SPIBase+3 || from != 1 {
 		t.Fatalf("got irq %v from %v", got, from)
 	}
 }
@@ -240,18 +240,6 @@ func TestExecutorDoubleStartPanics(t *testing.T) {
 	x.Start("b", 100, 1, nil)
 }
 
-func TestExecutorSetSpeed(t *testing.T) {
-	eng, m := newMachine(t, 1)
-	x := m.Core(0).Exec
-	x.Start("warming", 1000, 0.5, nil)
-	eng.RunFor(1000) // 500 work done at half speed
-	x.SetSpeed(1.0)  // remaining 500 at full speed
-	eng.Run()
-	if eng.Now() != 1500 {
-		t.Fatalf("finished at %v, want 1500", eng.Now())
-	}
-}
-
 func TestExecutorUtilization(t *testing.T) {
 	eng, m := newMachine(t, 1)
 	x := m.Core(0).Exec
@@ -273,8 +261,8 @@ func TestExecutorZeroWork(t *testing.T) {
 }
 
 // TestZeroAllocExecutor gates the executor's per-slice path and the
-// interrupt wires: once warm, a Start/SetSpeed/Preempt/Start/complete
-// cycle and an IPI plus a device IRQ in flight allocate nothing.
+// interrupt wires: once warm, a Start/Preempt/Start/complete cycle and
+// an IPI in flight allocate nothing.
 func TestZeroAllocExecutor(t *testing.T) {
 	eng, m := newMachine(t, 2)
 	x := m.Core(0).Exec
@@ -284,19 +272,17 @@ func TestZeroAllocExecutor(t *testing.T) {
 	cycle := func() {
 		x.Start("job", 1000, 1.0, onDone)
 		eng.RunFor(100)
-		x.SetSpeed(0.5)
 		eng.RunFor(100)
 		rem := x.Preempt()
 		x.Start("job", rem, 1.0, onDone)
 		m.SendIPI(0, 1, IPIGuestExit)
-		m.DeliverIRQ(1, IRQ(40))
 		eng.Run()
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
 		t.Errorf("executor cycle: %.2f allocs/op in steady state, want 0", avg)
 	}
-	if done != 1002 || irqs != 2*1002 {
-		t.Fatalf("completions = %d, irqs = %d; want 1002 and 2004", done, irqs)
+	if done != 1002 || irqs != 1002 {
+		t.Fatalf("completions = %d, irqs = %d; want 1002 and 1002", done, irqs)
 	}
 }

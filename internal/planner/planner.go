@@ -1,6 +1,6 @@
 // Package planner implements the user-mode core planner of §3: admission
 // control for core-gapped CVMs, assignment of physical cores to guest
-// vCPUs and to the host's residual pool, and anti-fragmentation placement
+// vCPUs (the host keeps the rest), and anti-fragmentation placement
 // so long-lived static bindings do not shred locality.
 //
 // It logically extends cluster-level VM allocators (Protean, Borg) down
@@ -21,7 +21,6 @@ import (
 var (
 	ErrInsufficientCores = errors.New("planner: not enough free cores")
 	ErrUnknownVM         = errors.New("planner: unknown VM")
-	ErrHostPoolTooSmall  = errors.New("planner: host pool would drop below minimum")
 )
 
 // Assignment is the planner's decision for one CVM.
@@ -31,34 +30,23 @@ type Assignment struct {
 	HostCore   hw.CoreID   // where this VM's host-side threads are pinned
 }
 
+// hostCore is the boot core. It is never dedicated, and every VM's
+// host-side threads are pinned to it.
+const hostCore hw.CoreID = 0
+
 // Planner tracks core ownership on one node.
 type Planner struct {
-	total    int
-	minHost  int
 	free     map[hw.CoreID]bool
-	hostPool map[hw.CoreID]bool
 	assigned map[string]*Assignment
-	// hostLoad counts VMs serviced per host-pool core, for balance.
-	hostLoad map[hw.CoreID]int
 }
 
-// New builds a planner over cores [0, total). minHost cores always remain
-// with the host (at least one; the host cannot run on zero cores).
-func New(total, minHost int) *Planner {
-	if minHost < 1 {
-		minHost = 1
-	}
+// New builds a planner over cores [0, total). The boot core stays with
+// the host; the rest start free.
+func New(total int) *Planner {
 	p := &Planner{
-		total:    total,
-		minHost:  minHost,
 		free:     make(map[hw.CoreID]bool),
-		hostPool: make(map[hw.CoreID]bool),
 		assigned: make(map[string]*Assignment),
-		hostLoad: make(map[hw.CoreID]int),
 	}
-	// Core 0 (boot core) seeds the host pool; the rest start free.
-	p.hostPool[0] = true
-	p.hostLoad[0] = 0
 	for i := 1; i < total; i++ {
 		p.free[hw.CoreID(i)] = true
 	}
@@ -67,9 +55,6 @@ func New(total, minHost int) *Planner {
 
 // FreeCount reports unassigned cores.
 func (p *Planner) FreeCount() int { return len(p.free) }
-
-// HostPool reports the host's cores, sorted.
-func (p *Planner) HostPool() []hw.CoreID { return sortedKeys(p.hostPool) }
 
 // Assignments reports current VMs, sorted by name.
 func (p *Planner) Assignments() []*Assignment {
@@ -97,7 +82,7 @@ func sortedKeys(m map[hw.CoreID]bool) []hw.CoreID {
 // Admit performs admission control and placement for a CVM with the given
 // vCPU count. It picks the lowest contiguous run of free cores (first-fit
 // by address keeps fragmentation low and preserves cache/mesh locality),
-// and binds the VM's host-side threads to the least-loaded host-pool core.
+// and binds the VM's host-side threads to the boot core.
 func (p *Planner) Admit(vm string, vcpus int) (*Assignment, error) {
 	if vcpus <= 0 {
 		return nil, fmt.Errorf("planner: invalid vcpu count %d", vcpus)
@@ -118,9 +103,7 @@ func (p *Planner) Admit(vm string, vcpus int) (*Assignment, error) {
 	for _, id := range cores {
 		delete(p.free, id)
 	}
-	host := p.leastLoadedHostCore()
-	p.hostLoad[host]++
-	a := &Assignment{VM: vm, GuestCores: cores, HostCore: host}
+	a := &Assignment{VM: vm, GuestCores: cores, HostCore: hostCore}
 	p.assigned[vm] = a
 	return a, nil
 }
@@ -134,16 +117,6 @@ func contiguousRun(sortedFree []hw.CoreID, n int) []hw.CoreID {
 	return nil
 }
 
-func (p *Planner) leastLoadedHostCore() hw.CoreID {
-	best := hw.NoCore
-	for _, id := range sortedKeys(p.hostPool) {
-		if best == hw.NoCore || p.hostLoad[id] < p.hostLoad[best] {
-			best = id
-		}
-	}
-	return best
-}
-
 // Release returns a VM's cores to the free pool.
 func (p *Planner) Release(vm string) error {
 	a, ok := p.assigned[vm]
@@ -153,39 +126,7 @@ func (p *Planner) Release(vm string) error {
 	for _, id := range a.GuestCores {
 		p.free[id] = true
 	}
-	p.hostLoad[a.HostCore]--
 	delete(p.assigned, vm)
-	return nil
-}
-
-// GrowHostPool moves a free core into the host pool (e.g. when host-side
-// I/O load saturates the existing pool).
-func (p *Planner) GrowHostPool() (hw.CoreID, error) {
-	frees := sortedKeys(p.free)
-	if len(frees) == 0 {
-		return hw.NoCore, ErrInsufficientCores
-	}
-	id := frees[0]
-	delete(p.free, id)
-	p.hostPool[id] = true
-	p.hostLoad[id] = 0
-	return id, nil
-}
-
-// ShrinkHostPool returns an unloaded host-pool core to the free pool.
-func (p *Planner) ShrinkHostPool(id hw.CoreID) error {
-	if !p.hostPool[id] {
-		return ErrUnknownVM
-	}
-	if len(p.hostPool) <= p.minHost {
-		return ErrHostPoolTooSmall
-	}
-	if p.hostLoad[id] != 0 {
-		return fmt.Errorf("planner: host core %d still services %d VMs", id, p.hostLoad[id])
-	}
-	delete(p.hostPool, id)
-	delete(p.hostLoad, id)
-	p.free[id] = true
 	return nil
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAdmitContiguousPlacement(t *testing.T) {
-	p := New(16, 1)
+	p := New(16)
 	a, err := p.Admit("vm1", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestAdmitContiguousPlacement(t *testing.T) {
 }
 
 func TestAdmitGuestCoresNeverIncludeHostPool(t *testing.T) {
-	p := New(8, 1)
+	p := New(8)
 	a, _ := p.Admit("vm", 7)
 	for _, c := range a.GuestCores {
 		if c == 0 {
@@ -41,7 +41,7 @@ func TestAdmitGuestCoresNeverIncludeHostPool(t *testing.T) {
 }
 
 func TestAdmissionControl(t *testing.T) {
-	p := New(8, 1) // 7 free
+	p := New(8) // 7 free
 	if _, err := p.Admit("a", 4); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 func TestReleaseReturnsCores(t *testing.T) {
-	p := New(8, 1)
+	p := New(8)
 	p.Admit("a", 4)
 	if err := p.Release("a"); err != nil {
 		t.Fatal(err)
@@ -77,42 +77,8 @@ func TestReleaseReturnsCores(t *testing.T) {
 	}
 }
 
-func TestHostPoolBalancing(t *testing.T) {
-	p := New(32, 1)
-	if _, err := p.GrowHostPool(); err != nil {
-		t.Fatal(err)
-	}
-	a1, _ := p.Admit("a", 2)
-	a2, _ := p.Admit("b", 2)
-	if a1.HostCore == a2.HostCore {
-		t.Fatal("host load not balanced across pool")
-	}
-}
-
-func TestShrinkHostPool(t *testing.T) {
-	p := New(8, 1)
-	id, err := p.GrowHostPool()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := p.Admit("a", 1) // lands on the least-loaded host core
-	if err := p.ShrinkHostPool(a.HostCore); err == nil {
-		t.Fatal("shrunk a loaded host core")
-	}
-	other := id
-	if a.HostCore == id {
-		other = 0
-	}
-	if err := p.ShrinkHostPool(other); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ShrinkHostPool(a.HostCore); !errors.Is(err, ErrHostPoolTooSmall) {
-		t.Fatalf("shrunk below minimum: %v", err)
-	}
-}
-
 func TestFragmentationMetric(t *testing.T) {
-	p := New(9, 1) // free: 1..8
+	p := New(9) // free: 1..8
 	if f := p.Fragmentation(); f != 0 {
 		t.Fatalf("fresh pool fragmentation = %v", f)
 	}
@@ -126,7 +92,7 @@ func TestFragmentationMetric(t *testing.T) {
 }
 
 func TestFirstFitReusesReleasedWindow(t *testing.T) {
-	p := New(16, 1)
+	p := New(16)
 	p.Admit("a", 4)
 	p.Admit("b", 4)
 	p.Release("a")
@@ -139,7 +105,7 @@ func TestFirstFitReusesReleasedWindow(t *testing.T) {
 func TestPlannerInvariantProperty(t *testing.T) {
 	// Property: cores are never double-assigned; free+assigned+host = total.
 	f := func(ops []uint8) bool {
-		p := New(16, 1)
+		p := New(16)
 		names := []string{"a", "b", "c", "d"}
 		for _, op := range ops {
 			vm := names[int(op)%len(names)]
@@ -150,9 +116,7 @@ func TestPlannerInvariantProperty(t *testing.T) {
 			}
 		}
 		owned := map[hw.CoreID]string{}
-		for _, c := range p.HostPool() {
-			owned[c] = "host"
-		}
+		owned[hostCore] = "host"
 		for _, a := range p.Assignments() {
 			for _, c := range a.GuestCores {
 				if _, dup := owned[c]; dup {

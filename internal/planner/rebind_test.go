@@ -7,7 +7,7 @@ import (
 )
 
 func TestBeginCompleteRebind(t *testing.T) {
-	p := New(8, 1)
+	p := New(8)
 	a, _ := p.Admit("vm", 2) // cores 1,2
 	from := a.GuestCores[0]
 
@@ -29,7 +29,7 @@ func TestBeginCompleteRebind(t *testing.T) {
 }
 
 func TestRebindValidationErrors(t *testing.T) {
-	p := New(8, 1)
+	p := New(8)
 	p.Admit("vm", 2)
 	if err := p.BeginRebind("ghost", 5); err != ErrUnknownVM {
 		t.Fatalf("unknown vm: %v", err)
@@ -52,7 +52,7 @@ func TestRebindValidationErrors(t *testing.T) {
 }
 
 func TestCompactionPlanEliminatesFragmentation(t *testing.T) {
-	p := New(12, 1)
+	p := New(12)
 	p.Admit("a", 3) // 1-3
 	p.Admit("b", 3) // 4-6
 	p.Admit("c", 3) // 7-9
@@ -92,7 +92,7 @@ func TestCompactionPlanEliminatesFragmentation(t *testing.T) {
 }
 
 func TestCompactionPlanEmptyWhenCompact(t *testing.T) {
-	p := New(8, 1)
+	p := New(8)
 	p.Admit("a", 3)
 	if moves := p.CompactionPlan(); len(moves) != 0 {
 		t.Fatalf("compact layout produced moves: %v", moves)

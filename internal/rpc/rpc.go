@@ -73,11 +73,8 @@ type Mailbox struct {
 	reqVisibleAt  sim.Time
 	respVisibleAt sim.Time
 
-	postedAt sim.Time
-
 	// stats
-	calls      uint64
-	roundTrips *sim.Duration // optional external accumulator
+	calls uint64
 }
 
 // NewMailbox returns an idle mailbox.
@@ -103,7 +100,6 @@ func (m *Mailbox) Post(req any, propDelay sim.Duration) {
 	m.state = Requested
 	m.req = req
 	m.reqVisibleAt = m.eng.Now().Add(propDelay)
-	m.postedAt = m.eng.Now()
 	m.eng.Count(cPosts)
 	m.eng.Trace().SpanDetail(sim.TCProxy, "rpc.post", m.name, sim.LaneGlobal, propDelay, 0)
 }
@@ -153,9 +149,6 @@ func (m *Mailbox) TryResponse() (resp any, ok bool) {
 	resp = m.resp
 	m.resp = nil
 	m.calls++
-	if m.roundTrips != nil {
-		*m.roundTrips += m.eng.Now().Sub(m.postedAt)
-	}
 	return resp, true
 }
 
@@ -175,9 +168,6 @@ func (m *Mailbox) Abort() {
 	m.req = nil
 	m.resp = nil
 }
-
-// TrackRoundTrips accumulates completed round-trip time into total.
-func (m *Mailbox) TrackRoundTrips(total *sim.Duration) { m.roundTrips = total }
 
 // Transport bundles the latency parameters of the shared-memory path.
 type Transport struct {

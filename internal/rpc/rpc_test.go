@@ -85,25 +85,6 @@ func TestMailboxAbort(t *testing.T) {
 	}
 }
 
-func TestRoundTripTracking(t *testing.T) {
-	eng := sim.NewEngine(1)
-	m := NewMailbox(eng, "x")
-	var total sim.Duration
-	m.TrackRoundTrips(&total)
-
-	m.Post("a", 100)
-	eng.RunUntil(100)
-	m.TryTake()
-	m.Complete("b", 100)
-	eng.RunUntil(250) // client notices at 250 (visible at 200, polled at 250)
-	if _, ok := m.TryResponse(); !ok {
-		t.Fatal("response missing")
-	}
-	if total != 250 {
-		t.Fatalf("round trip = %v, want 250", total)
-	}
-}
-
 func TestDefaultTransportCalibration(t *testing.T) {
 	tr := DefaultTransport()
 	// Table 2: core-gapped synchronous null call = 257.7 ns. Our model

@@ -34,12 +34,6 @@ func (t *Timer) Arm(d Duration) {
 	t.ev = t.eng.After(d, t.label, t.fireFn)
 }
 
-// ArmAt (re)schedules the timer to fire at absolute time at.
-func (t *Timer) ArmAt(at Time) {
-	t.Disarm()
-	t.ev = t.eng.At(at, t.label, t.fireFn)
-}
-
 // Disarm cancels a pending expiry, if any.
 func (t *Timer) Disarm() {
 	t.eng.Cancel(t.ev)

@@ -84,17 +84,6 @@ func (s *Source) Duration(lo, hi Duration) Duration {
 	return lo + Duration(s.Uint64()%span)
 }
 
-// Jitter returns d scaled by a uniform factor in [1-frac, 1+frac].
-// It models natural run-to-run variation in latencies without
-// compromising determinism.
-func (s *Source) Jitter(d Duration, frac float64) Duration {
-	if frac <= 0 {
-		return d
-	}
-	f := 1 - frac + 2*frac*s.Float64()
-	return Duration(float64(d) * f)
-}
-
 // Exp returns an exponentially distributed duration with the given mean,
 // clamped to [0, 50*mean] to keep event horizons bounded.
 func (s *Source) Exp(mean Duration) Duration {
@@ -110,19 +99,6 @@ func (s *Source) Exp(mean Duration) Duration {
 		d = 50 * mean
 	}
 	return d
-}
-
-// Perm returns a deterministic pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // ln computes the natural logarithm via the standard library-compatible

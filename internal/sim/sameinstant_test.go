@@ -8,7 +8,7 @@ import (
 // Tests for events that share a timestamp. These pin the semantics the
 // rest of the repo relies on — (at, seq) FIFO order, cancellation of a
 // later sibling, Pending/NextEventTime visibility part-way through a
-// same-instant run, Reset with pending ties, and Stop mid-storm.
+// same-instant run, and Reset with pending ties.
 
 // TestSameInstantFIFO: a storm of events at one timestamp fires in
 // schedule order, interleaved correctly with events a callback schedules
@@ -125,27 +125,6 @@ func TestSameInstantResetMidRun(t *testing.T) {
 	e.Run()
 	if fired != 6 {
 		t.Errorf("fired %d/6 after Reset", fired)
-	}
-}
-
-// TestSameInstantStopMidRun: Stop inside a same-instant event halts
-// dispatch; the undelivered siblings stay pending and drain on Reset.
-func TestSameInstantStopMidRun(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	e.At(10, "stopper", func() { fired++; e.Stop() })
-	e.At(10, "tail", func() { fired++ })
-	e.At(10, "tail", func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1 (Stop mid-storm)", fired)
-	}
-	if got := e.Pending(); got != 2 {
-		t.Errorf("Pending after Stop = %d, want 2", got)
-	}
-	e.Reset(3)
-	if got := e.Pending(); got != 0 {
-		t.Errorf("Pending after Reset = %d, want 0", got)
 	}
 }
 

@@ -113,7 +113,6 @@ type Engine struct {
 	seq     uint64
 	q       heapQueue // pending events (heap.go)
 	free    []*event  // recycled nodes; At/After allocate nothing in steady state
-	stopped bool
 	seed    uint64
 	sources map[string]*Source
 
@@ -153,7 +152,6 @@ func (e *Engine) Reset(seed uint64) {
 	e.q.h = e.q.h[:0]
 	e.now = 0
 	e.seq = 0
-	e.stopped = false
 	e.seed = seed
 	e.fired = 0
 	e.cancelled = 0
@@ -228,9 +226,6 @@ func (e *Engine) Cancel(ev Event) {
 // Step executes the single next event, advancing the clock. It reports
 // false when no events remain.
 func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
 	ev := e.q.pop()
 	if ev == nil {
 		return false
@@ -253,7 +248,7 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -262,26 +257,20 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then sets the clock to t
 // (if it has not already passed it). Events scheduled exactly at t run.
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
+	for {
 		m := e.q.peek()
 		if m == nil || m.at > t {
 			break
 		}
 		e.Step()
 	}
-	if e.now < t && !e.stopped {
+	if e.now < t {
 		e.now = t
 	}
 }
 
 // RunFor advances the clock by d. See RunUntil.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
-// Stop halts Run/RunUntil after the current event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.q.h) }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
 	"math"
 	"sort"
@@ -82,73 +81,4 @@ func csvEscape(s string) string {
 		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 	}
 	return s
-}
-
-// ParseFigureCSV reconstructs a figure from its CSV rendering (the exact
-// inverse of Figure.CSV for the axis/series/point data; Name, Title and
-// YLabel are not part of the CSV and come back empty). Empty cells are
-// missing points. It is what downstream plotting or a determinism check
-// uses to compare two exported artifacts structurally.
-func ParseFigureCSV(data string) (*Figure, error) {
-	r := csv.NewReader(strings.NewReader(data))
-	r.FieldsPerRecord = -1
-	records, err := r.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("figure csv: %w", err)
-	}
-	if len(records) == 0 || len(records[0]) == 0 {
-		return nil, fmt.Errorf("figure csv: missing header")
-	}
-	header := records[0]
-	f := NewFigure("", "", header[0], "")
-	// Instantiate the series in header order even if some have no points.
-	for _, label := range header[1:] {
-		f.Series(label)
-	}
-	for i, rec := range records[1:] {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("figure csv: row %d has %d cells, header has %d",
-				i+1, len(rec), len(header))
-		}
-		x, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("figure csv: row %d x: %w", i+1, err)
-		}
-		for col, cell := range rec[1:] {
-			if cell == "" {
-				continue
-			}
-			y, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return nil, fmt.Errorf("figure csv: row %d series %q: %w", i+1, header[col+1], err)
-			}
-			f.Series(header[col+1]).Add(x, y)
-		}
-	}
-	return f, nil
-}
-
-// ParseTableCSV reconstructs a table from its CSV rendering (the inverse
-// of Table.CSV for columns, rows and cells; Name and Title come back
-// empty).
-func ParseTableCSV(data string) (*Table, error) {
-	r := csv.NewReader(strings.NewReader(data))
-	r.FieldsPerRecord = -1
-	records, err := r.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("table csv: %w", err)
-	}
-	if len(records) == 0 || len(records[0]) == 0 || records[0][0] != "row" {
-		return nil, fmt.Errorf("table csv: missing %q header", "row")
-	}
-	header := records[0]
-	t := NewTable("", "", header[1:]...)
-	for i, rec := range records[1:] {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("table csv: row %d has %d cells, header has %d",
-				i+1, len(rec), len(header))
-		}
-		t.AddRow(rec[0], rec[1:]...)
-	}
-	return t, nil
 }

@@ -3,8 +3,6 @@ package trace
 import (
 	"math"
 	"math/bits"
-
-	"coregap/internal/sim"
 )
 
 // Recorder is a fixed-bucket log-linear (HDR-style) latency recorder: the
@@ -223,10 +221,6 @@ func (r *Recorder) Reset() {
 		}
 	}
 }
-
-// ObserveDur records a simulated duration (the sim-typed convenience the
-// metric layer uses).
-func (r *Recorder) ObserveDur(d sim.Duration) { r.Record(int64(d)) }
 
 // i128 is a two's-complement 128-bit integer, wide enough for the exact
 // moment arithmetic above.

@@ -86,7 +86,7 @@ func sameEntries(t *testing.T, what string, got, want []Entry) {
 
 // TestLazyMatchesEagerProperty drives two cores and the shared state,
 // all on one tag stream, through a seeded random schedule of Touch,
-// TouchShared, Residue, SecretCount, FlushDomain, Insert and Flush —
+// TouchShared, Residue, SecretCount, Insert and Flush —
 // plus the partial-group and whole-group flushes of a core's shared
 // fill log: FlushMitigations, FlushAll and Reset — against a reference
 // that draws every entry at fill time, per-core fills and LLC fills
@@ -132,10 +132,6 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 			case op == 6:
 				r := pick()
 				sameEntries(t, "Residue", lb.Residue(r), eb.Residue(r))
-			case op == 7:
-				d := pick()
-				lb.FlushDomain(d)
-				eb.FlushDomain(d)
 			case op == 8:
 				// Secret base entries under later plain fills exercise
 				// SecretCount's window arithmetic.

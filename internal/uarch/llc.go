@@ -169,17 +169,6 @@ func (c *SetAssocCache) OccupancyOf(d DomainID) float64 {
 	return float64(n) / float64(c.sets*c.ways)
 }
 
-// FlushDomain drops all of d's lines (used on teardown/scrub).
-func (c *SetAssocCache) FlushDomain(d DomainID) {
-	for _, set := range c.lines {
-		for w := range set {
-			if set[w].domain == d {
-				set[w] = cacheLine{}
-			}
-		}
-	}
-}
-
 // AccessLatency models the timing side of the probe: a cached line
 // answers in llcHit; an evicted one goes to memory.
 const (

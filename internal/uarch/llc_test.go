@@ -102,20 +102,6 @@ func TestSetAssocProbeLatency(t *testing.T) {
 	}
 }
 
-func TestSetAssocFlushDomain(t *testing.T) {
-	c := NewSetAssocCache(4, 2)
-	a, b := Guest(0), Guest(1)
-	c.Access(a, 0)
-	c.Access(b, 1<<6)
-	c.FlushDomain(a)
-	if c.OccupancyOf(a) != 0 {
-		t.Fatal("flush left lines")
-	}
-	if !c.Present(b, 1<<6) {
-		t.Fatal("flush disturbed other domain")
-	}
-}
-
 func TestSetAssocOccupancyInvariant(t *testing.T) {
 	f := func(addrsRaw []uint16, domsRaw []uint8) bool {
 		c := NewSetAssocCache(8, 2)

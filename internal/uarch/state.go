@@ -290,15 +290,6 @@ func (ss *SharedState) AssignWays(d DomainID, n int) bool {
 	return true
 }
 
-// ReleaseWays returns all of d's LLC ways to the free pool.
-func (ss *SharedState) ReleaseWays(d DomainID) {
-	for i, o := range ss.wayOwner {
-		if o == d {
-			ss.wayOwner[i] = DomainNone
-		}
-	}
-}
-
 // TouchShared models domain d filling shared structures: an LLC
 // footprint of footprint × (capacity / ways) lines and, when
 // usesStaging, one secret-tagged staging-buffer entry. It reports how

@@ -143,7 +143,7 @@ type Entry struct {
 // happen at fill time. A buffer re-derives its entry count for a fill
 // from the footprint, and its draw offset inside the fill from the
 // counts of the slots before it. The entries are built only if an
-// entry-level reader — Residue, Insert, FlushDomain — ever looks:
+// entry-level reader — Residue, Insert — ever looks:
 // materialize replays each live fill from its anchor and reconstructs
 // entries byte-identically to the eager fill. Aggregate readers — Len,
 // CountDomain, Occupancy, and through them Warmth — are answered from
@@ -362,26 +362,6 @@ func (b *Buffer) Flush() {
 // keeps its grown capacity, so a pooled buffer refills without
 // reallocating; the observable state is identical to a fresh buffer.
 func (b *Buffer) Reset() { b.Flush() }
-
-// FlushDomain removes entries belonging to d, preserving others.
-func (b *Buffer) FlushDomain(d DomainID) {
-	if b.pend > 0 {
-		b.materialize()
-	}
-	kept := b.entries[:0]
-	for _, e := range b.entries {
-		if e.Domain != d {
-			kept = append(kept, e)
-		}
-	}
-	b.entries = kept
-	if b.next > len(b.entries) {
-		b.next = 0
-	}
-	if len(b.entries) < b.cap {
-		b.next = 0
-	}
-}
 
 // retire advances oldest past the fills that everything recorded after
 // them has fully overwritten: their entries will never be observed, and

@@ -139,21 +139,6 @@ func TestBufferFlush(t *testing.T) {
 	}
 }
 
-func TestBufferFlushDomain(t *testing.T) {
-	b := NewBuffer(BTB, 8)
-	for i := uint64(0); i < 4; i++ {
-		b.Insert(Entry{Domain: Guest(0), Tag: i})
-		b.Insert(Entry{Domain: DomainHost, Tag: 100 + i})
-	}
-	b.FlushDomain(Guest(0))
-	if b.CountDomain(Guest(0)) != 0 {
-		t.Fatal("FlushDomain left owner entries")
-	}
-	if b.CountDomain(DomainHost) != 4 {
-		t.Fatalf("FlushDomain disturbed other domains: %d", b.CountDomain(DomainHost))
-	}
-}
-
 func TestBufferOccupancy(t *testing.T) {
 	b := NewBuffer(L1D, 10)
 	for i := 0; i < 5; i++ {
@@ -172,7 +157,7 @@ func TestBufferInvariantsProperty(t *testing.T) {
 			if ins {
 				b.Insert(Entry{Domain: Guest(src.Intn(3)), Tag: src.Uint64()})
 			} else {
-				b.FlushDomain(Guest(src.Intn(3)))
+				b.Flush()
 			}
 			if b.Len() > b.Cap() {
 				return false
@@ -285,10 +270,6 @@ func TestLLCPartitioning(t *testing.T) {
 	}
 	if !ss.LLCObservable(Guest(0), Guest(0)) {
 		t.Fatal("domain must observe itself")
-	}
-	ss.ReleaseWays(Guest(0))
-	if !ss.AssignWays(Guest(1), 8) {
-		t.Fatal("release did not free ways")
 	}
 }
 

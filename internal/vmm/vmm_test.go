@@ -3,7 +3,6 @@ package vmm
 import (
 	"testing"
 
-	"coregap/internal/gic"
 	"coregap/internal/guest"
 	"coregap/internal/host"
 	"coregap/internal/hw"
@@ -15,7 +14,7 @@ func newVMM(t *testing.T, cores, ioCore int) (*sim.Engine, *host.Kernel, *VMM) {
 	t.Helper()
 	eng := sim.NewEngine(11)
 	m := hw.NewMachine(eng, hw.DefaultConfig(cores))
-	k := host.NewKernel(m, gic.NewDistributor(m))
+	k := host.NewKernel(m)
 	v := New("vm0", k, DefaultCosts(), ioCore)
 	return eng, k, v
 }
