@@ -1,18 +1,19 @@
-# Development entry points. `make check` is the full gate: gofmt, vet, build,
-# a fast race pass over the runner and engine, full race-enabled tests,
-# a benchsuite smoke run, a traced-run smoke (Chrome trace export), the
-# perf smoke (microbenchmarks + allocation gates -> BENCH_8.json, no
-# wall-clock thresholds), an end-to-end determinism check (serial CSV
-# output == 8-way parallel CSV output) and the committed benchmark
-# artifact digests.
+# Development entry points. `make check` is the full gate: gofmt, vet
+# (the module and the bench module), build, a fast race pass over the
+# runner and engine, full race-enabled tests, a benchsuite smoke run, a
+# traced-run smoke (Chrome trace export), a plain test run (the one run
+# of the allocation gates, TestZeroAlloc* and friends, without the race
+# detector), an end-to-end determinism check (serial CSV output == 8-way
+# parallel CSV output) and the committed benchmark artifact digests.
+# Host cost is measured by bench/run.sh.
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race race-fast smoke trace-smoke determinism digests bench bench-full bench-paper profile unreachable clean
+.PHONY: all check fmt vet build test race race-fast smoke trace-smoke determinism digests bench-paper profile unreachable clean
 
 all: check
 
-check: fmt vet build race-fast race smoke trace-smoke bench determinism digests
+check: fmt vet build race-fast race smoke trace-smoke test determinism digests
 
 # Every Go file must be gofmt-clean; the offenders are listed on failure.
 fmt:
@@ -20,6 +21,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 build:
 	$(GO) build ./...
@@ -71,16 +73,6 @@ determinism:
 # match the SHA-256 digests committed in bench/testdata/digests.txt.
 digests:
 	$(GO) -C bench test ./...
-
-# Perf trajectory: engine microbenchmarks + a fixed benchsuite smoke
-# run, recorded in BENCH_8.json. A smoke, not a threshold — except the
-# zero-alloc gates, which fail the build on regression. bench-full also
-# re-measures the full-suite wall clock (minutes).
-bench:
-	sh scripts/bench.sh
-
-bench-full:
-	BENCH_FULL=1 sh scripts/bench.sh
 
 # The historical whole-repo benchmark sweep (one per paper artifact).
 bench-paper:

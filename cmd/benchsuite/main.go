@@ -5,30 +5,25 @@
 // Usage:
 //
 //	benchsuite [-exp all|table2|...|fig10|tdx|openloop] [-full] [-seed N]
-//	           [-parallel N] [-fresh] [-json] [-csv DIR] [-v] [-progress]
-//	           [-counters] [-selfmetrics FILE] [-cpuprofile FILE]
-//	           [-memprofile FILE]
+//	           [-parallel N] [-json] [-csv DIR] [-v] [-progress]
+//	           [-counters] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Experiments come from the internal/exp registry; -exp list prints
 // them, and -exp accepts a comma-separated subset (e.g.
 // -exp table2,table5,openloop) run in registry order. All selected
 // experiments' trials are flattened onto a single
-// work-stealing pool of -parallel workers (default: GOMAXPROCS), so a
-// long trial in one experiment never idles workers that could run the
-// next experiment's trials; results are bit-identical to a serial run
-// for the same seed, whatever the worker count. Each worker reuses one
+// pool of -parallel workers (default: GOMAXPROCS), so a long trial in
+// one experiment never idles workers that could run the next
+// experiment's trials; results are bit-identical to a serial run for
+// the same seed, whatever the worker count. Each worker reuses one
 // pooled simulation context (engine, machine, granule table, metric
-// set) across its trials; -fresh disables the pooling and rebuilds
-// everything per trial, for A/B-ing results and allocation cost.
+// set) across its trials.
 // Without -full, reduced sweeps keep the total runtime in the minutes
 // range; -full runs the paper-sized configurations (Fig. 6 up to 63
 // dedicated cores).
 //
 // -cpuprofile and -memprofile write standard pprof profiles of the run
 // (`go tool pprof` reads them), so performance work starts from data.
-// -selfmetrics captures the harness's own behaviour — per-worker trial/
-// steal/busy/idle stats, allocation and GC deltas, and build provenance —
-// as JSON, for tracking the runner itself across revisions.
 package main
 
 import (
@@ -38,7 +33,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/metrics"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -56,7 +50,6 @@ var (
 	full        = flag.Bool("full", false, "paper-sized sweeps (slower)")
 	seed        = flag.Uint64("seed", 42, "simulation root seed")
 	parallel    = flag.Int("parallel", 0, "worker goroutines shared across all experiments (0 = GOMAXPROCS)")
-	fresh       = flag.Bool("fresh", false, "disable per-worker context pooling (rebuild all simulation state per trial)")
 	jsonOut     = flag.Bool("json", false, "emit a machine-readable JSON report to stdout")
 	csvDir      = flag.String("csv", "", "also write each artifact as CSV into this directory")
 	verbose     = flag.Bool("v", false, "print per-trial run metadata")
@@ -64,32 +57,7 @@ var (
 	memprofile  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	progress    = flag.Bool("progress", false, "print a live trials-completed line to stderr")
 	countersCSV = flag.Bool("counters", false, "with -csv, also write each experiment's per-trial engine counters as <exp>-counters.csv")
-	selfmetrics = flag.String("selfmetrics", "", "write runner self-metrics (worker stats, alloc/GC deltas, provenance) as JSON to this file")
 )
-
-// readMetric samples one runtime/metrics uint64 counter (0 if absent).
-func readMetric(name string) uint64 {
-	s := []metrics.Sample{{Name: name}}
-	metrics.Read(s)
-	if s[0].Value.Kind() == metrics.KindUint64 {
-		return s[0].Value.Uint64()
-	}
-	return 0
-}
-
-// selfMetrics is the -selfmetrics JSON document.
-type selfMetrics struct {
-	GoVersion   string            `json:"go_version"`
-	GOOS        string            `json:"goos"`
-	GOARCH      string            `json:"goarch"`
-	Workers     int               `json:"workers"`
-	Fresh       bool              `json:"fresh"`
-	Experiments []string          `json:"experiments"`
-	WallNS      int64             `json:"wall_ns"`
-	AllocBytes  uint64            `json:"alloc_bytes"`
-	GCCycles    uint64            `json:"gc_cycles"`
-	WorkerStats []exp.WorkerStats `json:"worker_stats"`
-}
 
 // trialCounters renders an experiment's per-trial engine counter banks
 // as CSV (trial,counter,value rows, trial then counter order). Trial IDs
@@ -214,7 +182,6 @@ func main() {
 	}
 
 	runner := exp.NewRunner(*parallel)
-	runner.Fresh = *fresh
 	if *progress {
 		runner.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\r%d/%d trials", done, total)
@@ -224,38 +191,12 @@ func main() {
 		}
 	}
 	profile := exp.Profile{Seed: *seed, Full: *full}
-	allocs0, gcs0 := readMetric("/gc/heap/allocs:bytes"), readMetric("/gc/cycles/total:gc-cycles")
 	start := time.Now()
 	reports, err := runner.RunExperiments(selected, profile)
 	if err != nil {
 		fail(1, "benchsuite: %v\n", err)
 	}
 	wall := time.Since(start)
-	if *selfmetrics != "" {
-		names := make([]string, len(selected))
-		for i, e := range selected {
-			names[i] = e.Name
-		}
-		sm := selfMetrics{
-			GoVersion:   runtime.Version(),
-			GOOS:        runtime.GOOS,
-			GOARCH:      runtime.GOARCH,
-			Workers:     runner.Workers,
-			Fresh:       *fresh,
-			Experiments: names,
-			WallNS:      wall.Nanoseconds(),
-			AllocBytes:  readMetric("/gc/heap/allocs:bytes") - allocs0,
-			GCCycles:    readMetric("/gc/cycles/total:gc-cycles") - gcs0,
-			WorkerStats: runner.WorkerStats(),
-		}
-		data, merr := json.MarshalIndent(sm, "", "  ")
-		if merr == nil {
-			merr = os.WriteFile(*selfmetrics, append(data, '\n'), 0o644)
-		}
-		if merr != nil {
-			fail(1, "benchsuite: selfmetrics: %v\n", merr)
-		}
-	}
 
 	var jsonReports []jsonReport
 	for _, rep := range reports {

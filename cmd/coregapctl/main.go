@@ -21,8 +21,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,18 +57,18 @@ var (
 	parallel = flag.Int("parallel", 0, "worker goroutines for -exp (0 = GOMAXPROCS)")
 	traceOut = flag.String("trace", "", "arm sim-time tracing and write a Chrome trace-event JSON here (Perfetto-viewable)")
 	counters = flag.Bool("counters", false, "print the trial's engine counter bank")
-	memstats = flag.Bool("memstats", false, "print Go runtime allocation totals after the run (for harness memory tracking)")
 	verbose  = flag.Bool("v", false, "dump the full metric set")
 )
 
-// parseRates parses the -rate flag: one or more positive req/s values,
-// comma-separated.
+// parseRates parses the -rate flag: one or more positive, finite req/s
+// values, comma-separated. NaN and +Inf parse as floats but would never
+// let an open-loop run finish, so they are rejected with the rest.
 func parseRates(s string) ([]float64, error) {
 	var rates []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad rate %q (want positive req/s)", part)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+			return nil, fmt.Errorf("bad rate %q (want positive, finite req/s)", part)
 		}
 		rates = append(rates, v)
 	}
@@ -185,7 +185,6 @@ func main() {
 			}
 			printTrial(spec, trial)
 		}
-		printMemStats()
 		return
 	}
 
@@ -203,7 +202,6 @@ func main() {
 		}
 		fmt.Printf("trace: %d events -> %s\n", len(trial.TraceEvents), *traceOut)
 	}
-	printMemStats()
 }
 
 // sortedKeys returns m's keys in order, so every map a trial carries
@@ -252,19 +250,6 @@ func printTrial(spec exp.ScenarioSpec, trial exp.Trial) {
 		fmt.Println()
 		fmt.Print(trial.Metrics.String())
 	}
-}
-
-// printMemStats reports the process's cumulative Go allocation totals
-// under -memstats — the hook scripts/bench.sh uses to show that harness
-// memory grows sublinearly with offered rate.
-func printMemStats() {
-	if !*memstats {
-		return
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	fmt.Printf("memstats: total_alloc_bytes=%d heap_alloc_bytes=%d sys_bytes=%d mallocs=%d\n",
-		ms.TotalAlloc, ms.HeapAlloc, ms.Sys, ms.Mallocs)
 }
 
 // writeTrace exports the trial's captured events as Chrome trace JSON,

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,6 +28,34 @@ func TestPrintTrialLabelsSorted(t *testing.T) {
 				t.Fatalf("run %d: label %q missing or printed out of order:\n%s", run, want, out)
 			}
 			last = i
+		}
+	}
+}
+
+// TestParseRates: -rate accepts positive, finite req/s values and
+// rejects the rest. NaN and +Inf parse as floats, so they need their own
+// check; a run at either rate would never finish.
+func TestParseRates(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want []float64 // nil: an error
+	}{
+		{"NaN", nil},
+		{"+Inf", nil},
+		{"0", nil},
+		{"-5", nil},
+		{"abc", nil},
+		{"1e5,2e5", []float64{1e5, 2e5}},
+	} {
+		got, err := parseRates(c.in)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("parseRates(%q) = %v, want an error", c.in, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("parseRates(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
 }

@@ -3,106 +3,12 @@ package exp
 import (
 	"bytes"
 	"reflect"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"coregap/internal/obs"
 	"coregap/internal/sim"
 )
-
-// TestStealQueueDrainedPrefix exercises the head-cursor edge the PR 5
-// fix introduced: after the owner drains a prefix, the tail shrinking
-// below the head cursor (thief steals) must read as empty on both ends,
-// never re-deal a drained item.
-func TestStealQueueDrainedPrefix(t *testing.T) {
-	q := &stealQueue{items: []int{0, 1, 2}}
-	if it, ok := q.pop(); !ok || it != 0 {
-		t.Fatalf("pop = %d,%v, want 0,true", it, ok)
-	}
-	if it, ok := q.pop(); !ok || it != 1 {
-		t.Fatalf("pop = %d,%v, want 1,true", it, ok)
-	}
-	// head == 2, items == [0,1,2]: one item left, reachable either way.
-	if it, ok := q.steal(); !ok || it != 2 {
-		t.Fatalf("steal = %d,%v, want 2,true", it, ok)
-	}
-	// Now len(items) == 2 < head == 2: both ends must report empty.
-	if it, ok := q.pop(); ok {
-		t.Fatalf("pop on drained queue returned %d", it)
-	}
-	if it, ok := q.steal(); ok {
-		t.Fatalf("steal on drained queue returned %d", it)
-	}
-
-	// Mirror order: thief first, then the owner runs past the new end.
-	q = &stealQueue{items: []int{0, 1, 2}}
-	if it, ok := q.steal(); !ok || it != 2 {
-		t.Fatalf("steal = %d,%v, want 2,true", it, ok)
-	}
-	got := []bool{false, false, false}
-	for {
-		it, ok := q.pop()
-		if !ok {
-			break
-		}
-		got[it] = true
-	}
-	if !got[0] || !got[1] || got[2] {
-		t.Fatalf("owner drained %v, want items 0 and 1 only", got)
-	}
-}
-
-// TestStealQueueConcurrent races one owner against several thieves
-// (meaningful under -race): every item must be claimed exactly once.
-func TestStealQueueConcurrent(t *testing.T) {
-	const n = 10000
-	const thieves = 3
-	items := make([]int, n)
-	for i := range items {
-		items[i] = i
-	}
-	q := &stealQueue{items: items}
-	var mu sync.Mutex
-	seen := make(map[int]int, n)
-	claim := func(it int) {
-		mu.Lock()
-		seen[it]++
-		mu.Unlock()
-	}
-	var wg sync.WaitGroup
-	wg.Add(1 + thieves)
-	go func() {
-		defer wg.Done()
-		for {
-			it, ok := q.pop()
-			if !ok {
-				return
-			}
-			claim(it)
-		}
-	}()
-	for i := 0; i < thieves; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				it, ok := q.steal()
-				if !ok {
-					return
-				}
-				claim(it)
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != n {
-		t.Fatalf("claimed %d distinct items, want %d", len(seen), n)
-	}
-	for it, c := range seen {
-		if c != 1 {
-			t.Fatalf("item %d claimed %d times", it, c)
-		}
-	}
-}
 
 // TestTracedTrialMatchesUntraced is the observer-effect gate: arming the
 // flight recorder must not change a single deterministic output of a
@@ -236,45 +142,39 @@ func TestTable4ValuesMatchCounters(t *testing.T) {
 	}
 }
 
-// TestRunnerWorkerStats checks the harness self-metrics: every trial is
-// attributed to exactly one worker, and the progress callback sees every
-// completion.
-func TestRunnerWorkerStats(t *testing.T) {
-	e, _ := Lookup("table3")
-	specs := e.Specs(Profile{Seed: 42})
-	var mu sync.Mutex
-	calls := 0
-	lastDone := 0
-	r := &Runner{Workers: 2}
-	r.Progress = func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		if done > lastDone {
-			lastDone = done
+// TestRunnerRunsEachItemOnce checks the pool's claim cursor: with more
+// items than workers and with more workers than items, every index runs
+// exactly once on a worker slot the context table has, and Progress
+// sees the right total and reaches it.
+func TestRunnerRunsEachItemOnce(t *testing.T) {
+	for _, n := range []int{37, 3} {
+		const workers = 4
+		runs := make([]atomic.Int32, n)
+		var calls atomic.Int64
+		var reached atomic.Bool
+		r := &Runner{Workers: workers}
+		r.Progress = func(done, total int) {
+			calls.Add(1)
+			if total != n {
+				t.Errorf("n=%d: progress total = %d", n, total)
+			}
+			if done == n {
+				reached.Store(true)
+			}
 		}
-		if total != len(specs) {
-			t.Errorf("progress total = %d, want %d", total, len(specs))
+		r.runItems(n, func(w, i int) {
+			if w < 0 || w >= min(workers, n) {
+				t.Errorf("n=%d: item %d ran on worker %d", n, i, w)
+			}
+			runs[i].Add(1)
+		})
+		for i := range runs {
+			if c := runs[i].Load(); c != 1 {
+				t.Errorf("n=%d: item %d ran %d times, want 1", n, i, c)
+			}
 		}
-	}
-	if _, err := r.RunSpecs(specs); err != nil {
-		t.Fatal(err)
-	}
-	stats := r.WorkerStats()
-	if len(stats) == 0 {
-		t.Fatal("no worker stats after a run")
-	}
-	trials := 0
-	for _, st := range stats {
-		trials += st.Trials
-		if st.Busy < 0 || st.Idle < 0 {
-			t.Errorf("worker %d has negative time: busy=%v idle=%v", st.Worker, st.Busy, st.Idle)
+		if calls.Load() != int64(n) || !reached.Load() {
+			t.Errorf("n=%d: progress: %d calls, reached %d: %v", n, calls.Load(), n, reached.Load())
 		}
-	}
-	if trials != len(specs) {
-		t.Errorf("workers report %d trials, want %d", trials, len(specs))
-	}
-	if calls != len(specs) || lastDone != len(specs) {
-		t.Errorf("progress: %d calls, max done %d, want %d", calls, lastDone, len(specs))
 	}
 }

@@ -28,24 +28,18 @@ func poolingTestExperiments(t *testing.T) []string {
 }
 
 // TestPooledExecuteDeterminism is the acceptance test of context
-// pooling: for every experiment, a fresh-construction serial run, a
-// pooled serial run and a pooled 8-worker run must reduce to
-// byte-identical reports (artifact CSVs, headline lines, per-trial
-// values and labels; Meta.Wall excluded). This is exactly the
-// benchsuite `-exp all -seed 42` tree compared across `-parallel 1/8`
-// and `-fresh`/pooled.
+// pooling: for every experiment, a pooled serial run and a pooled
+// 8-worker run must reduce to byte-identical reports (artifact CSVs,
+// headline lines, per-trial values and labels; Meta.Wall excluded) to
+// the unpooled reference, every spec built from scratch by Execute and
+// batch-reduced. This is exactly the benchsuite `-exp all -seed 42`
+// tree compared across `-parallel 1/8`.
 func TestPooledExecuteDeterminism(t *testing.T) {
 	p := Profile{Seed: 42}
 	for _, name := range poolingTestExperiments(t) {
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("experiment %q not registered", name)
-		}
-		freshRunner := NewRunner(1)
-		freshRunner.Fresh = true
-		fresh, err := freshRunner.RunExperiment(e, p)
-		if err != nil {
-			t.Fatalf("%s fresh: %v", name, err)
 		}
 		pooled1, err := NewRunner(1).RunExperiment(e, p)
 		if err != nil {
@@ -55,7 +49,7 @@ func TestPooledExecuteDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s pooled parallel: %v", name, err)
 		}
-		want := renderReport(t, fresh)
+		want := renderReport(t, unpooledReport(t, e, p))
 		if got := renderReport(t, pooled1); got != want {
 			t.Errorf("%s: pooled serial differs from fresh\nfresh:\n%s\npooled:\n%s", name, want, got)
 		}
@@ -63,6 +57,32 @@ func TestPooledExecuteDeterminism(t *testing.T) {
 			t.Errorf("%s: pooled 8-worker differs from fresh\nfresh:\n%s\npooled:\n%s", name, want, got)
 		}
 	}
+}
+
+// unpooledReport is the reference a Runner must reproduce: every spec
+// of e executed from scratch by Execute, in order, and folded by the
+// batch Reduce. A streamed run releases each trial's window and trace
+// buffers once its reducer consumes it, so the reference drops them
+// after reducing too.
+func unpooledReport(t *testing.T, e *Experiment, p Profile) *Report {
+	t.Helper()
+	specs := e.Specs(p)
+	trials := make([]Trial, len(specs))
+	for i, spec := range specs {
+		tr, err := Execute(spec)
+		if err != nil {
+			t.Fatalf("%s fresh %s: %v", e.Name, spec.ID, err)
+		}
+		trials[i] = tr
+	}
+	rep := e.Reduce(p, trials)
+	if e.Stream != nil {
+		for i := range trials {
+			trials[i].Windows, trials[i].TraceEvents = nil, nil
+		}
+	}
+	finishReport(rep, e, trials)
+	return rep
 }
 
 // TestPooledContextReuseOrderIndependence: a context that has already

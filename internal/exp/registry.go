@@ -31,7 +31,7 @@ type Report struct {
 	Trials     []Trial
 	// Work is the summed host wall-clock of the experiment's trials:
 	// aggregate worker time, not elapsed time, since trials of several
-	// experiments interleave on the shared work-stealing pool.
+	// experiments interleave on the shared worker pool.
 	Work time.Duration
 }
 

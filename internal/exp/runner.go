@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Runner executes independent trials across a pool of goroutines. Each
@@ -18,55 +17,22 @@ import (
 // Each worker goroutine owns one pooled TrialContext — engine, machine,
 // granule table, metric set — rewound per trial instead of rebuilt, so
 // the steady-state trial allocates only its thin per-trial object
-// graph. Pooling does not affect results (ExecuteIn's contract); Fresh
-// disables it for A/B measurement.
+// graph. Pooling does not affect results (ExecuteIn's contract);
+// Execute is the unpooled reference.
 //
-// Work distribution is a work-stealing pool: trials are dealt
-// round-robin into per-worker queues, a worker drains its own queue
-// front-to-back, and a worker that runs dry steals from the others.
-// With RunExperiments the pool spans *all* experiments' trials at once,
-// so one experiment's long tail (e.g. fig6's largest-N run) no longer
-// idles workers that could be executing the next experiment.
+// Workers claim trials from one shared cursor, so trials start in spec
+// order. With RunExperiments the pool spans *all* experiments' trials
+// at once, so one experiment's long tail (e.g. fig6's largest-N run)
+// does not idle workers that could be executing the next experiment's
+// trials.
 type Runner struct {
 	// Workers is the pool size; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Fresh disables context pooling: every trial builds its simulation
-	// substrate from scratch, as Execute does. This is the reference
-	// behaviour pooling must reproduce; benchsuite -fresh exposes it so
-	// the two can be A/B'd for both results and allocation cost.
-	Fresh bool
 	// Progress, when set, is called after every completed trial with the
 	// running completion count and the total. It runs on worker
 	// goroutines (possibly concurrently), so it must be cheap and
 	// thread-safe; benchsuite's -progress uses it for a live line.
 	Progress func(done, total int)
-
-	// stats is the per-worker activity of the most recent run (nil until
-	// a run completes, and never populated through a nil Runner).
-	stats []WorkerStats
-}
-
-// WorkerStats is one pool worker's activity during a run: how many
-// trials it executed, how many of those it stole from other workers'
-// queues, and how its wall time split between executing trials and
-// waiting. These are harness self-metrics — host wall clock, not
-// simulated time — so they are the one part of a run that is NOT a pure
-// function of the specs.
-type WorkerStats struct {
-	Worker int           `json:"worker"`
-	Trials int           `json:"trials"`
-	Steals int           `json:"steals"`
-	Busy   time.Duration `json:"busy_ns"`
-	Idle   time.Duration `json:"idle_ns"`
-}
-
-// WorkerStats reports the per-worker activity of the runner's most
-// recent Run* call (nil before any run, or on a nil Runner).
-func (r *Runner) WorkerStats() []WorkerStats {
-	if r == nil {
-		return nil
-	}
-	return append([]WorkerStats(nil), r.stats...)
 }
 
 // NewRunner returns a runner with the given pool size (<= 0: GOMAXPROCS).
@@ -79,139 +45,56 @@ func (r *Runner) workers() int {
 	return r.Workers
 }
 
-func (r *Runner) fresh() bool { return r != nil && r.Fresh }
-
-// stealQueue is one worker's trial queue. The owner pops from the head
-// (preserving rough spec order); thieves steal from the tail, where the
-// round-robin deal places the later — and in sweep experiments usually
-// larger — trials. A mutex suffices: trials run for milliseconds to
-// seconds, so queue operations are noise.
-//
-// The head is an index into a fixed backing array rather than a
-// reslice: popping via items = items[1:] would keep every drained
-// element reachable through the slice's origin pointer for the queue's
-// whole lifetime and re-deal nothing, while an explicit cursor makes
-// the drained prefix dead the moment it is passed.
-type stealQueue struct {
-	mu    sync.Mutex
-	head  int
-	items []int
-}
-
-func (q *stealQueue) pop() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head >= len(q.items) {
-		return 0, false
-	}
-	it := q.items[q.head]
-	q.head++
-	return it, true
-}
-
-func (q *stealQueue) steal() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := len(q.items)
-	if q.head >= n {
-		return 0, false
-	}
-	it := q.items[n-1]
-	q.items = q.items[:n-1]
-	return it, true
-}
-
-// runItems executes exec(worker, 0..n-1) on the stealing pool. Every
-// index runs exactly once, tagged with the worker that ran it so the
-// caller can thread per-worker state (the pooled contexts) through.
-// Ordered result slots make completion order irrelevant to the output.
-// No work is added after the deal, so a worker that finds every queue
-// empty can exit: the remaining items are already executing on other
-// workers.
+// runItems executes exec(worker, 0..n-1) on the pool. Every index runs
+// exactly once, tagged with the worker that ran it so the caller can
+// thread per-worker state (the pooled contexts) through. Workers take
+// the next unclaimed index from a shared cursor, so items start in
+// index order; ordered result slots make completion order irrelevant
+// to the output. A single worker runs inline on the calling goroutine.
 func (r *Runner) runItems(n int, exec func(worker, item int)) {
 	workers := r.workers()
 	if workers > n {
 		workers = n
 	}
-	stats := make([]WorkerStats, workers)
-	for w := range stats {
-		stats[w].Worker = w
-	}
 	var done atomic.Int64
-	finish := func(w int) {
-		if r == nil || r.Progress == nil {
-			return
+	finish := func() {
+		if r != nil && r.Progress != nil {
+			r.Progress(int(done.Add(1)), n)
 		}
-		r.Progress(int(done.Add(1)), n)
 	}
 	if workers <= 1 {
-		start := time.Now()
 		for i := 0; i < n; i++ {
 			exec(0, i)
-			finish(0)
-		}
-		if len(stats) > 0 {
-			stats[0].Trials = n
-			stats[0].Busy = time.Since(start)
-		}
-		if r != nil {
-			r.stats = stats
+			finish()
 		}
 		return
 	}
-	queues := make([]*stealQueue, workers)
-	for w := range queues {
-		queues[w] = &stealQueue{items: make([]int, 0, n/workers+1)}
-	}
-	for i := 0; i < n; i++ {
-		q := queues[i%workers]
-		q.items = append(q.items, i)
-	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(self int) {
 			defer wg.Done()
-			st := &stats[self]
-			spawned := time.Now()
 			for {
-				i, ok := queues[self].pop()
-				for off := 1; !ok && off < workers; off++ {
-					i, ok = queues[(self+off)%workers].steal()
-					if ok {
-						st.Steals++
-					}
-				}
-				if !ok {
-					st.Idle = time.Since(spawned) - st.Busy
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				t0 := time.Now()
 				exec(self, i)
-				st.Busy += time.Since(t0)
-				st.Trials++
-				finish(self)
+				finish()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if r != nil {
-		r.stats = stats
-	}
 }
 
 // contexts builds the lazy per-worker context table: slot w is created
-// on worker w's first trial and reused for all its later ones. With
-// Fresh set every slot stays nil, and ExecuteIn(nil, …) falls back to
-// scratch construction.
+// on worker w's first trial and reused for all its later ones.
 func (r *Runner) contexts() []*TrialContext {
 	return make([]*TrialContext, r.workers())
 }
 
-func (r *Runner) contextFor(ctxs []*TrialContext, w int) *TrialContext {
-	if r.fresh() {
-		return nil
-	}
+func contextFor(ctxs []*TrialContext, w int) *TrialContext {
 	if ctxs[w] == nil {
 		ctxs[w] = NewTrialContext()
 	}
@@ -226,7 +109,7 @@ func (r *Runner) RunSpecs(specs []ScenarioSpec) ([]Trial, error) {
 	errs := make([]error, len(specs))
 	ctxs := r.contexts()
 	r.runItems(len(specs), func(w, i int) {
-		trials[i], errs[i] = ExecuteIn(r.contextFor(ctxs, w), specs[i])
+		trials[i], errs[i] = ExecuteIn(contextFor(ctxs, w), specs[i])
 	})
 	return trials, errors.Join(errs...)
 }
@@ -282,7 +165,7 @@ func (c *streamCursor) admit(j int, trials []Trial, terrs []error) {
 }
 
 // RunExperiments generates the specs of every given experiment up
-// front, executes the union of all trials on one work-stealing pool,
+// front, executes the union of all trials on one worker pool,
 // and reduces each experiment — in order. An experiment with a Stream
 // reducer consumes its trials incrementally as workers finish them (in
 // spec order, releasing each trial's window and trace buffers once
@@ -315,7 +198,7 @@ func (r *Runner) RunExperiments(es []*Experiment, p Profile) ([]*Report, error) 
 	r.runItems(len(flat), func(w, k int) {
 		s := flat[k]
 		trials[s.exp][s.trial], terrs[s.exp][s.trial] =
-			ExecuteIn(r.contextFor(ctxs, w), specs[s.exp][s.trial])
+			ExecuteIn(contextFor(ctxs, w), specs[s.exp][s.trial])
 		if c := cursors[s.exp]; c != nil {
 			c.admit(s.trial, trials[s.exp], terrs[s.exp])
 		}

@@ -91,7 +91,7 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunExperimentsCrossPoolDeterminism drives the work-stealing pool
+// TestRunExperimentsCrossPoolDeterminism drives the worker pool
 // the way benchsuite -exp all does — one flat queue over several
 // experiments' trials — and checks the reduced reports are byte-equal
 // to per-experiment serial runs.

@@ -40,11 +40,10 @@ type Trial struct {
 	// windows; every count is in Counters — nil for raw-transport
 	// trials. Reducers must not depend on it; it exists for workbench
 	// consumers (cmd/coregapctl -v). Only fresh-context execution
-	// (Execute, or a Runner with Fresh set) populates it: under pooled
-	// execution the set belongs to the worker's reusable TrialContext
-	// and is recycled by the next trial, so ExecuteIn leaves it nil
-	// rather than handing out state that will be rewound underneath
-	// the caller.
+	// (Execute) populates it: under pooled execution the set belongs to
+	// the worker's reusable TrialContext and is recycled by the next
+	// trial, so ExecuteIn leaves it nil rather than handing out state
+	// that will be rewound underneath the caller.
 	Metrics *trace.Set
 	// Counters is the trial's engine counter bank — every counter that
 	// fired, by name: machine-wide perf counters (world switches, IPIs,
