@@ -3,17 +3,18 @@
 # runner and engine, full race-enabled tests, a benchsuite smoke run, a
 # traced-run smoke (Chrome trace export), a plain test run (the one run
 # of the allocation gates, TestZeroAlloc* and friends, without the race
-# detector), an end-to-end determinism check (serial CSV output == 8-way
-# parallel CSV output) and the committed benchmark artifact digests.
+# detector), one iteration of every Go benchmark (so none rots unseen),
+# an end-to-end determinism check (serial CSV output == 8-way parallel
+# CSV output) and the committed benchmark artifact digests.
 # Host cost is measured by bench/run.sh.
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race race-fast smoke trace-smoke determinism digests bench-paper profile unreachable clean
+.PHONY: all check fmt vet build test bench-once race race-fast smoke trace-smoke determinism digests bench-paper profile unreachable clean
 
 all: check
 
-check: fmt vet build race-fast race smoke trace-smoke test determinism digests
+check: fmt vet build race-fast race smoke trace-smoke test bench-once determinism digests
 
 # Every Go file must be gofmt-clean; the offenders are listed on failure.
 fmt:
@@ -28,6 +29,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Every Go benchmark, one iteration each and no tests: a benchmark that
+# no longer compiles or panics fails the gate. Timings are not checked.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The shape tests simulate tens of seconds of machine time; under the
 # race detector on a small host that exceeds go test's default 10m

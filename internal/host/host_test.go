@@ -139,6 +139,49 @@ func TestStealCPUDelaysThread(t *testing.T) {
 	}
 }
 
+// stealDuringShortSlice runs a 0.8 ms item under a 1 ms quantum, with a
+// 1 ms item queued behind it on the same core, and steals the core at
+// 0.5 ms for cost. The quantum outlasts the slice it was armed for, so
+// only the steal can bring its expiry within what the core runs. It
+// reports when each item completed.
+func stealDuringShortSlice(t *testing.T, cost sim.Duration) (a *Thread, aDone, bDone sim.Time) {
+	eng, _, k := newKernel(t, 1)
+	k.SetQuantum(sim.Millisecond)
+	a = k.NewThread("a", ClassNormal, 0)
+	b := k.NewThread("b", ClassNormal, 0)
+	k.Submit(a, "j", 800*sim.Microsecond, func() { aDone = eng.Now() })
+	k.Submit(b, "j", sim.Millisecond, func() { bDone = eng.Now() })
+	eng.After(500*sim.Microsecond, "irq", func() { k.StealCPU(0, cost, nil) })
+	eng.Run()
+	return a, aDone, bDone
+}
+
+// TestQuantumExpiringInStealIsConsumed: an expiry that falls inside an
+// IRQ steal fires as a no-op and uses the quantum up, so the resumed
+// slice runs to completion without a preemption.
+func TestQuantumExpiringInStealIsConsumed(t *testing.T) {
+	a, aDone, bDone := stealDuringShortSlice(t, sim.Millisecond)
+	if aDone != sim.Time(1800*sim.Microsecond) || bDone != sim.Time(2800*sim.Microsecond) {
+		t.Fatalf("a done at %v, b at %v; want 1.80ms, 2.80ms", aDone, bDone)
+	}
+	if a.ContextSwitches() != 1 {
+		t.Fatalf("a switched in %d times, want 1 (never preempted)", a.ContextSwitches())
+	}
+}
+
+// TestStealStretchedSliceMeetsDeadline: a steal that ends before the
+// quantum but pushes the resumed slice past it gets the slice preempted
+// exactly at the deadline, and the queued thread runs from there.
+func TestStealStretchedSliceMeetsDeadline(t *testing.T) {
+	a, aDone, bDone := stealDuringShortSlice(t, 400*sim.Microsecond)
+	if bDone != sim.Time(2*sim.Millisecond) || aDone != sim.Time(2200*sim.Microsecond) {
+		t.Fatalf("b done at %v, a at %v; want 2ms (b ran from the 1ms deadline), 2.20ms", bDone, aDone)
+	}
+	if a.ContextSwitches() != 2 {
+		t.Fatalf("a switched in %d times, want 2 (preempted once)", a.ContextSwitches())
+	}
+}
+
 func TestStealCPUOnIdleCore(t *testing.T) {
 	eng, _, k := newKernel(t, 1)
 	ran := false

@@ -79,7 +79,10 @@ func (k *Kernel) StealCPU(core hw.CoreID, cost sim.Duration, fn func()) {
 		t.cpuTime += k.eng.Now().Sub(t.sliceStart)
 		cs.stolen = t
 	}
-	k.eng.After(cost, "irq", cs.stealDoneFn)
+	done := k.eng.After(cost, "irq", cs.stealDoneFn)
+	// A quantum that expires during the steal fires as a no-op
+	// (quantumExpired ignores a stealing core) and is used up.
+	cs.quantum.Commit(done.Time())
 }
 
 // stealDone ends an IRQ steal: it runs the handler, then gives the core
@@ -100,6 +103,7 @@ func (cs *coreSched) stealDone() {
 	}
 	if cs.cur == t && t.state == Running && t.cur != nil {
 		k.startCurrent(cs)
+		cs.quantum.Commit(k.mach.Core(cs.id).Exec.End())
 		return
 	}
 	cs.cur = nil

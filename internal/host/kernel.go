@@ -298,8 +298,13 @@ func (k *Kernel) dispatch(cs *coreSched) {
 	k.startCurrent(cs)
 	// Arm the quantum after starting the slice so that a slice completing
 	// exactly at quantum expiry counts as a completion, not a preemption.
+	// Most slices end before their quantum, so the expiry is only
+	// reserved, and queued once it falls within what the core runs: this
+	// slice here, or the IRQ steal or resumed slice that stretches it
+	// (StealCPU, stealDone).
 	if t.class == ClassNormal {
-		cs.quantum.Arm(k.quantum)
+		cs.quantum.Defer(k.quantum)
+		cs.quantum.Commit(k.mach.Core(cs.id).Exec.End())
 	}
 }
 

@@ -110,6 +110,10 @@ func (x *Executor) Start(label string, work sim.Duration, speed float64, onDone 
 	x.ev = x.eng.After(sim.Duration(float64(work)/speed), "exec", x.doneFn)
 }
 
+// End reports when the running context completes if nothing preempts
+// it; valid only while Busy.
+func (x *Executor) End() sim.Time { return x.ev.Time() }
+
 func (x *Executor) complete() {
 	x.ev = sim.Event{}
 	x.busyTotal += x.eng.Now().Sub(x.busySince)

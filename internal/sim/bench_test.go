@@ -2,11 +2,12 @@ package sim
 
 import "testing"
 
-// Microbenchmarks for the engine hot path. The steady-state numbers
-// here are the denominators every perf PR is judged against (`make
-// bench` folds them into BENCH_4.json); the companion TestZeroAlloc*
-// gates turn the free-list contract — no allocation on the
-// schedule/fire path once the pool is warm — into a failing test
+// Microbenchmarks for the engine hot path, for ns/op and allocs/op
+// comparisons while working on it (`go test -bench . ./internal/sim`);
+// `make check` runs each once so they keep compiling and running. The
+// host-time record is bench/run.sh's `sim.after_step_ns`. The companion
+// TestZeroAlloc* gates turn the free-list contract — no allocation on
+// the schedule/fire path once the pool is warm — into a failing test
 // rather than a benchmark footnote.
 
 // BenchmarkSchedule measures the steady-state schedule→fire round trip:
@@ -198,6 +199,11 @@ func TestZeroAllocTimer(t *testing.T) {
 			tm.Arm(5)
 			tm.Arm(3)
 			tm.Disarm()
+		})
+		zeroAllocs(t, "timer defer+commit+fire/"+name, func() {
+			tm.Defer(2)
+			tm.Commit(Forever)
+			e.Step()
 		})
 		tk := NewTicker(e, "gate-tick", 7, fn)
 		tk.Start()

@@ -143,3 +143,56 @@ func TestZeroAllocSameInstantStorm(t *testing.T) {
 		})
 	})
 }
+
+// TestDeferredTimerKeepsArmOrder: a timer deferred and committed later
+// fires between its same-instant siblings exactly where an Arm at Defer
+// time would have put it, and until the commit the queue holds nothing
+// of it.
+func TestDeferredTimerKeepsArmOrder(t *testing.T) {
+	run := func(deferred bool) []string {
+		e := NewEngine(1)
+		var got []string
+		tm := NewTimer(e, "timer", func() { got = append(got, "timer") })
+		e.At(100, "before", func() { got = append(got, "before") })
+		if deferred {
+			tm.Defer(100)
+		} else {
+			tm.Arm(100)
+		}
+		e.At(100, "after", func() { got = append(got, "after") })
+		if deferred {
+			tm.Commit(99) // expires after until: stays deferred
+			if e.Pending() != 2 || !tm.Pending() || tm.Deadline() != 100 {
+				t.Fatalf("deferred: engine pending %d, timer pending %v deadline %v; want 2, true, 100",
+					e.Pending(), tm.Pending(), tm.Deadline())
+			}
+			e.At(10, "commit", func() { tm.Commit(100) })
+		}
+		e.Run()
+		return got
+	}
+	want := fmt.Sprint(run(false))
+	if got := fmt.Sprint(run(true)); got != want || want != "[before timer after]" {
+		t.Fatalf("deferred fire order %v, armed %v, want [before timer after]", got, want)
+	}
+}
+
+// TestDeferredDisarmTouchesNoQueue: disarming a deferred timer changes
+// nothing in the engine, and a later Commit of it is a no-op.
+func TestDeferredDisarmTouchesNoQueue(t *testing.T) {
+	e := NewEngine(1)
+	fired := false
+	tm := NewTimer(e, "timer", func() { fired = true })
+	e.At(50, "other", func() {})
+	tm.Defer(5)
+	before := e.Pending()
+	tm.Disarm()
+	if e.Pending() != before || tm.Pending() || tm.Deadline() != Forever {
+		t.Fatalf("after Disarm: engine pending %d (was %d), timer pending %v", e.Pending(), before, tm.Pending())
+	}
+	tm.Commit(Forever)
+	e.Run()
+	if fired || e.EventsFired() != 1 {
+		t.Fatalf("disarmed deferred timer fired (%v), events fired %d", fired, e.EventsFired())
+	}
+}

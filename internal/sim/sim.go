@@ -116,9 +116,7 @@ type Engine struct {
 	seed    uint64
 	sources map[string]*Source
 
-	// Stats.
-	fired     uint64
-	cancelled uint64
+	fired uint64 // events executed so far
 
 	// Observability: nil tracer / empty bank when disabled, so the
 	// scheduling hot path pays one branch each. See tracer.go and
@@ -154,7 +152,6 @@ func (e *Engine) Reset(seed uint64) {
 	e.seq = 0
 	e.seed = seed
 	e.fired = 0
-	e.cancelled = 0
 	e.trc = nil
 	clear(e.counts)
 	for name, s := range e.sources {
@@ -186,9 +183,15 @@ func (e *Engine) At(t Time, label string, fn func()) Event {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, e.now))
 	}
 	e.seq++
+	return e.queue(t, e.seq, label, fn)
+}
+
+// queue pushes fn at (t, seq): At's seq, just taken, or one a deferred
+// Timer reserved earlier.
+func (e *Engine) queue(t Time, seq uint64, label string, fn func()) Event {
 	ev := e.alloc()
 	ev.at = t
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.fn = fn
 	ev.label = label
 	e.q.push(ev)
@@ -220,7 +223,6 @@ func (e *Engine) Cancel(ev Event) {
 	}
 	e.q.remove(n)
 	e.recycle(n)
-	e.cancelled++
 }
 
 // Step executes the single next event, advancing the clock. It reports

@@ -20,10 +20,7 @@ func eagerTouch(bufs *[sharedKindsStart]*Buffer, d DomainID, footprint, secretFr
 	}
 	for k := StructKind(0); k < sharedKindsStart; k++ {
 		b := bufs[k]
-		n := int(footprint * float64(b.cap))
-		if n == 0 {
-			n = 1
-		}
+		n := max(1, int(footprint*float64(b.cap)))
 		for i := 0; i < n; i++ {
 			secret := secretFrac > 0 && src.Float64() < secretFrac
 			b.Insert(Entry{Domain: d, Secret: secret, Tag: src.Uint64()})
@@ -93,9 +90,16 @@ func sameEntries(t *testing.T, what string, got, want []Entry) {
 // alike. Deferred fills and deferred skips must be invisible: the same
 // entries, Len and CountDomain after every step, the same SecretCount
 // and Residue whenever they are read, and the same next stream draw.
+//
+// The footprints include NaN, +Inf, -1 and 2, and per-core fills draw
+// half their footprints fresh, LLC fills all of them, so every log's
+// shape table fills up mid-schedule: per-core logs then fold shapes out
+// of it, and the LLC's, whose live records span many footprints, also
+// grow it.
 func TestLazyMatchesEagerProperty(t *testing.T) {
 	domains := []DomainID{DomainHost, DomainMonitor, Guest(0), Guest(1)}
-	footprints := []float64{0, 0.001, 0.02, 0.08, 0.3, 0.7, 1, 1.2}
+	footprints := []float64{0, 0.001, 0.02, 0.08, 0.3, 0.7, 1, 1.2, math.NaN(), math.Inf(1), -1, 2}
+	rebuilds := 0
 	seeds := uint64(12)
 	if testing.Short() {
 		seeds = 4
@@ -117,12 +121,19 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 			switch op := sched.Intn(16); {
 			case op < 4:
 				d, fp := pick(), footprints[sched.Intn(len(footprints))]
+				if sched.Intn(2) == 0 {
+					fp = sched.Float64()
+				}
+				shapes := len(lazy[c].log.shapes)
 				frac := 0.0
 				if sched.Intn(2) == 0 {
 					frac = sched.Float64()
 				}
 				lazy[c].Touch(d, fp, frac, lazySrc)
 				eagerTouch(eager[c], d, fp, frac, eagerSrc)
+				if len(lazy[c].log.shapes) < shapes {
+					rebuilds++
+				}
 			case op < 6:
 				d, fp, staging := pick(), 0.3*sched.Float64(), sched.Intn(2) == 0
 				if le, ee := lazyShared.TouchShared(d, fp, staging, lazySrc),
@@ -224,6 +235,7 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 		}
 		for i, l := range finals {
 			e := eagers[i]
+			l.sync()
 			if l.pend > 0 {
 				l.materialize()
 			}
@@ -235,6 +247,9 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 		if g, w := lazySrc.Uint64(), eagerSrc.Uint64(); g != w {
 			t.Fatalf("seed %d: next tag draw %x, eager %x", seed, g, w)
 		}
+	}
+	if rebuilds == 0 {
+		t.Fatal("no per-core fill log folded a shape out of its table")
 	}
 }
 
@@ -269,28 +284,23 @@ func TestTouchDefersStream(t *testing.T) {
 	}
 }
 
-// liveSpan reports how many of the log's newest records b would still
-// replay once its overwritten fills were retired: the records back to
-// the first one that, with everything newer, covers the whole ring.
-func liveSpan(b *Buffer) int {
-	if b.pend == 0 {
-		return 0
-	}
-	l := b.log
-	span, newer := 0, 0
-	for i := len(l.fills) - 1; i >= int(b.oldest-l.base) && newer < b.cap; i-- {
-		newer += l.count(l.fills[i].fp, b.cap)
+// coverSpan reports how many of the log's newest records compaction
+// keeps: those back to the first one at which their covers sum to one
+// ring, or every record when they never do.
+func coverSpan(l *fillLog) int {
+	span, sum := 0, uint64(0)
+	for i := len(l.fills) - 1; i >= 0 && sum < 1<<32; i-- {
+		sum += l.shapes[l.fills[i].shape].cover
 		span++
 	}
 	return span
 }
 
-// TestFillLogBounded: retirement is deferred, so nothing retires a
-// fill at push time; log compaction must still keep a core's log at
-// most twice the longest live span any of its buffers has had, plus
-// the record being pushed, over a long schedule that mixes tiny and
-// whole-structure footprints, secret fills, partial flushes and reads
-// that materialize one buffer.
+// TestFillLogBounded: no buffer is charged or retired at push time, so
+// only compaction bounds the log: a core's log must hold at most twice
+// the longest cover span it has had, plus the record being pushed, over
+// a long schedule that mixes tiny and whole-structure footprints,
+// secret fills, partial flushes and reads that materialize one buffer.
 func TestFillLogBounded(t *testing.T) {
 	cs, src, sched := NewCoreState(), sim.NewSource(3), sim.NewSource(4)
 	footprints := []float64{0.0005, 0.002, 0.02, 0.05, 0.35, 1}
@@ -309,15 +319,38 @@ func TestFillLogBounded(t *testing.T) {
 			}
 			cs.Touch(Guest(op%3), footprints[sched.Intn(len(footprints))], frac, src)
 		}
-		for _, b := range cs.bufs {
-			longest = max(longest, liveSpan(b))
-		}
+		longest = max(longest, coverSpan(&cs.log))
 		if n := len(cs.log.fills); n > 2*longest+1 {
-			t.Fatalf("step %d: log holds %d records, longest live span %d", step, n, longest)
+			t.Fatalf("step %d: log holds %d records, longest cover span %d", step, n, longest)
 		}
 	}
 	if n := cap(cs.log.fills); n >= steps/4 {
 		t.Fatalf("log capacity %d after %d steps: records are not being dropped", n, steps)
+	}
+}
+
+// TestTouchChargesNoBuffer: a Touch only appends its record. No buffer
+// is charged for it until a reader asks that buffer, and the read
+// charges that buffer alone.
+func TestTouchChargesNoBuffer(t *testing.T) {
+	cs, src := NewCoreState(), sim.NewSource(5)
+	const touches = 50
+	for i := 0; i < touches; i++ {
+		cs.Touch(Guest(i%2), []float64{0.01, 0.3, 0.08}[i%3], float64(i%2)*0.5, src)
+	}
+	for _, b := range cs.bufs {
+		if b.seen != 0 || b.pend != 0 {
+			t.Fatalf("%v charged by Touch: seen %d, pend %d", b.kind, b.seen, b.pend)
+		}
+	}
+	l1d := cs.Buffer(L1D)
+	if l1d.Len() != l1d.Cap() || l1d.seen != touches {
+		t.Fatalf("L1D after a read: Len %d of %d, seen %d, want %d", l1d.Len(), l1d.Cap(), l1d.seen, touches)
+	}
+	for _, b := range cs.bufs {
+		if b != l1d && b.seen != 0 {
+			t.Fatalf("reading L1D charged %v: seen %d", b.kind, b.seen)
+		}
 	}
 }
 

@@ -52,10 +52,7 @@ func NewCoreState() *CoreState {
 // history, returning the state a fresh NewCoreState would have while
 // keeping each buffer's grown backing array for the next trial.
 func (cs *CoreState) Reset() {
-	for k := StructKind(0); k < sharedKindsStart; k++ {
-		cs.bufs[k].Reset()
-	}
-	cs.log.reset()
+	cs.log.flush()
 	cs.lastDomain = DomainNone
 	cs.switches = 0
 }
@@ -102,11 +99,12 @@ func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *si
 	// they would have written. Touch is the simulator's single hottest
 	// loop (every execution slice on every core lands here, with up to
 	// 16K entries for the L2). The record holds the stream's unresolved
-	// anchor and lag; each buffer re-derives its count and its offset
-	// in the batch from the footprint. The batch's Skip only adds to
-	// the lag, so Touch pays for no draws and no jump: the jump is
-	// resolved only if something observes the stream or materializes a
-	// fill.
+	// anchor and lag and the footprint's shape, from which each buffer
+	// reads its count and its offset in the batch. The batch's Skip
+	// only adds to the lag, so Touch pays for no draws and no jump: the
+	// jump is resolved only if something observes the stream or
+	// materializes a fill. Nor does it charge any buffer: each charges
+	// itself when it is next read.
 	anchor, lag := tagSrc.Mark()
 	drawsPer := uint64(1)
 	frac := -1.0
@@ -114,7 +112,7 @@ func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *si
 		drawsPer = 2
 		frac = secretFrac
 	}
-	n := cs.log.push(fill{anchor: anchor, lag: lag, fp: footprint, frac: frac, domain: d})
+	n := cs.log.push(fill{anchor: anchor, lag: lag, frac: frac, domain: d}, footprint)
 	tagSrc.Skip(drawsPer * uint64(n))
 }
 
@@ -149,10 +147,9 @@ var warmthWeights = [...]struct {
 func (cs *CoreState) FlushAll(costs FlushCosts) sim.Duration {
 	var total sim.Duration
 	for k := StructKind(0); k < sharedKindsStart; k++ {
-		cs.bufs[k].Flush()
 		total += costs.Of(k)
 	}
-	cs.log.reset()
+	cs.log.flush()
 	return total
 }
 
@@ -242,8 +239,7 @@ func NewSharedState(llcEntries, llcWays int) *SharedState {
 // frees every way assignment — the state a fresh NewSharedState would
 // have, minus the allocations.
 func (ss *SharedState) Reset() {
-	ss.llc.Reset()
-	ss.llcLog.reset()
+	ss.llcLog.flush()
 	ss.staging.Reset()
 	ss.partitioned = false
 	clear(ss.wayOwner)
@@ -316,7 +312,7 @@ func (ss *SharedState) TouchShared(d DomainID, footprint float64, usesStaging bo
 			evicted = n - free
 		}
 		anchor, lag := tagSrc.Mark()
-		ss.llcLog.push(fill{anchor: anchor, lag: lag, fp: footprint, frac: -1, domain: d})
+		ss.llcLog.push(fill{anchor: anchor, lag: lag, frac: -1, domain: d}, footprint)
 		tagSrc.Skip(uint64(n))
 	}
 	if usesStaging {

@@ -136,41 +136,45 @@ type Entry struct {
 // Bulk fills — Touch's per-core fills and TouchShared's LLC fill — are
 // LAZY. One batch appends one fill record to the fillLog its buffers
 // share (a core's per-core structures, or the LLC alone): the domain,
-// the footprint, the secret fraction, and where the batch's tags start
-// in the shared tag stream — an anchor state from Source.Mark plus the
-// draws past it. The filler only defers the batch's draws with
+// the footprint's shape, the secret fraction, and where the batch's tags
+// start in the shared tag stream — an anchor state from Source.Mark plus
+// the draws past it. The filler only defers the batch's draws with
 // Source.Skip, so neither the per-entry draws nor the jump over them
-// happen at fill time. A buffer re-derives its entry count for a fill
-// from the footprint, and its draw offset inside the fill from the
-// counts of the slots before it. The entries are built only if an
-// entry-level reader — Residue, Insert — ever looks:
-// materialize replays each live fill from its anchor and reconstructs
-// entries byte-identically to the eager fill. Aggregate readers — Len,
-// CountDomain, Occupancy, and through them Warmth — are answered from
-// ring-interval arithmetic over the fills without materializing, which
-// is what removes the fill loops from the simulator's hottest path.
-// SecretCount is answered the same way while every live fill is plain
-// (plain fills hold no secrets).
+// happen at fill time, and the push charges no buffer: a buffer charges
+// itself for every record pushed since it last looked, in one step, when
+// a reader next asks it (sync). A buffer reads its entry count for a fill
+// and its draw offset inside the fill from the record's shape. The
+// entries are built only if an entry-level reader — Residue, Insert —
+// ever looks: materialize replays each live fill from its anchor and
+// reconstructs entries byte-identically to the eager fill. Aggregate
+// readers — Len, CountDomain, Occupancy, and through them Warmth — are
+// answered from ring-interval arithmetic over the fills without
+// materializing, which is what removes the fill loops from the
+// simulator's hottest path. SecretCount is answered the same way while
+// every live fill is plain (plain fills hold no secrets).
 type Buffer struct {
 	kind    StructKind
 	cap     int
 	entries []Entry // materialized prefix; ring position == index
 	next    int     // FIFO replacement cursor of the materialized prefix
 
-	// Deferred fills are the log's records from absolute index oldest
-	// on; this buffer's share of record oldest starts at ring position
-	// oldestStart. Records that later fills have fully overwritten are
-	// retired (oldest advanced past them) lazily, by retire. While
-	// pend > 0 the buffer's true state is (entries, next) with every
-	// fill from oldest on replayed on top; vlen and vnext track the
-	// Len/next that replay would produce.
-	log         *fillLog
-	slot        int // index among the log's buffers
-	oldest      uint64
-	oldestStart int
-	pend        int // total entries across fills from oldest on
-	vlen        int
-	vnext       int
+	// The buffer has been charged for the log's records before seen:
+	// charged entries in all, the log's written count for its slot at
+	// that point. Charged fills are the log's records from absolute
+	// index oldest on (or from the log's base, once compaction has
+	// dropped older ones). Records that later fills have fully
+	// overwritten are retired (oldest advanced past them) lazily, by
+	// retire. While pend > 0 the buffer's true state is (entries, next)
+	// with every fill from oldest on replayed on top; vlen and vnext
+	// track the Len/next that replay would produce.
+	log     *fillLog
+	slot    int // index among the log's buffers
+	seen    uint64
+	charged uint64
+	oldest  uint64
+	pend    int // total entries across fills from oldest on
+	vlen    int
+	vnext   int
 }
 
 // NewBuffer returns an empty buffer of the given capacity.
@@ -189,6 +193,7 @@ func (b *Buffer) Cap() int { return b.cap }
 
 // Len reports the number of valid entries.
 func (b *Buffer) Len() int {
+	b.sync()
 	if b.pend > 0 {
 		return b.vlen
 	}
@@ -198,6 +203,7 @@ func (b *Buffer) Len() int {
 // Insert adds an entry, evicting the oldest when full. It reports the
 // evicted entry (Domain == DomainNone when nothing was evicted).
 func (b *Buffer) Insert(e Entry) (evicted Entry) {
+	b.sync()
 	if b.pend > 0 {
 		b.materialize()
 	}
@@ -224,12 +230,13 @@ func (b *Buffer) Insert(e Entry) (evicted Entry) {
 // combined write window has not overwritten them.
 func (b *Buffer) CountDomain(d DomainID) int {
 	n := 0
+	b.sync()
 	if b.pend > 0 {
 		l := b.log
 		newer := 0
-		for i := len(l.fills) - 1; i >= int(b.oldest-l.base) && newer < b.cap; i-- {
+		for i := len(l.fills) - 1; i >= b.firstLive() && newer < b.cap; i-- {
 			f := &l.fills[i]
-			fn := l.count(f.fp, b.cap)
+			fn := int(l.shapes[f.shape].n[b.slot])
 			if f.domain == d {
 				n += min(fn, b.cap-newer)
 			}
@@ -285,6 +292,7 @@ func (b *Buffer) window() (wstart, covered int) {
 // once the buffer's entries have grown to its capacity.
 func (b *Buffer) SecretCount(d DomainID) int {
 	wstart, covered := 0, 0
+	b.sync()
 	if b.pend > 0 {
 		b.retire()
 		l := b.log
@@ -322,6 +330,7 @@ func (b *Buffer) Occupancy(d DomainID) float64 {
 // Residue reports all entries whose owner does not trust reader — i.e. the
 // foreign state a transient-execution primitive run by reader could sample.
 func (b *Buffer) Residue(reader DomainID) []Entry {
+	b.sync()
 	if b.pend > 0 {
 		b.materialize()
 	}
@@ -346,11 +355,20 @@ func (b *Buffer) SecretResidue(reader DomainID) []Entry {
 }
 
 // Flush removes all entries (architectural flush, e.g. verw/DSB-style).
-// Pending fills are dropped unmaterialized — their tag draws were
-// consumed from the stream at fill time, exactly as an eager fill's
-// would have been. The fill records stay in the log for the buffers
-// that share it; this buffer's next fill starts a new oldest.
+// Pending fills, charged or not, are dropped unmaterialized — their tag
+// draws were consumed from the stream at fill time, exactly as an eager
+// fill's would have been. The fill records stay in the log for the
+// buffers that share it; this buffer's charge point moves to the log's
+// end, so its next fill starts a new oldest.
 func (b *Buffer) Flush() {
+	b.clear()
+	if l := b.log; l != nil {
+		b.seen, b.charged = l.end(), l.written(b.slot)
+	}
+}
+
+// clear drops every entry and pending fill; the charge point stays.
+func (b *Buffer) clear() {
 	b.entries = b.entries[:0]
 	b.next = 0
 	b.pend = 0
@@ -363,21 +381,62 @@ func (b *Buffer) Flush() {
 // reallocating; the observable state is identical to a fresh buffer.
 func (b *Buffer) Reset() { b.Flush() }
 
+// sync charges the buffer for the log's records pushed since it was
+// last charged, in one step: the T entries they wrote into its slot,
+// the log's written count less the one last charged. Len grows by T up
+// to the capacity and the write cursor moves T positions around the
+// ring, exactly where T single-entry Inserts would leave them. A buffer
+// with nothing pending starts its live fills at the first uncharged
+// record.
+func (b *Buffer) sync() {
+	l := b.log
+	if l == nil || b.seen == l.end() {
+		return
+	}
+	w := l.written(b.slot)
+	t := int(w - b.charged)
+	if b.pend == 0 {
+		b.vlen, b.vnext = len(b.entries), b.next
+		b.oldest = b.seen
+	}
+	cursor := b.vnext
+	if b.vlen < b.cap {
+		cursor = b.vlen
+	}
+	b.seen, b.charged = l.end(), w
+	b.pend += t
+	if b.vlen+t >= b.cap {
+		b.vlen = b.cap
+		b.vnext = (cursor + t) % b.cap
+	} else {
+		b.vlen += t
+		b.vnext = 0
+	}
+}
+
+// firstLive reports the position in the log's records of the oldest
+// fill still charged to the buffer. Compaction drops records that every
+// buffer has overwritten without moving oldest, so oldest may lie
+// before the log's base.
+func (b *Buffer) firstLive() int {
+	return int(max(b.oldest, b.log.base) - b.log.base)
+}
+
 // retire advances oldest past the fills that everything recorded after
 // them has fully overwritten: their entries will never be observed, and
 // the draws they consumed are already accounted for in the stream. It
 // walks back from the newest fill until the fills it has passed cover
 // the ring, so its cost is the live span, not the number of fills
 // retired; the fill where the walk stops is the oldest one kept, and it
-// starts that many entries before the cursor the newest fill left.
-// Retirement is deferred to the readers that replay (materialize,
-// SecretCount) and to log compaction, so a fill costs no read of an
-// older record.
-func (b *Buffer) retire() {
+// starts that many entries before the cursor the newest fill left: it
+// reports that ring position. Retirement is deferred to the readers that
+// replay (materialize, SecretCount), so a fill costs no read of an older
+// record.
+func (b *Buffer) retire() (start int) {
 	l := b.log
 	i, kept := len(l.fills)-1, 0
-	for lo := int(b.oldest - l.base); ; i-- {
-		kept += l.count(l.fills[i].fp, b.cap)
+	for lo := b.firstLive(); ; i-- {
+		kept += int(l.shapes[l.fills[i].shape].n[b.slot])
 		if kept >= b.cap || i == lo {
 			break
 		}
@@ -387,32 +446,30 @@ func (b *Buffer) retire() {
 		cursor = b.vlen
 	}
 	b.oldest, b.pend = l.base+uint64(i), kept
-	for b.oldestStart = cursor - kept; b.oldestStart < 0; {
-		b.oldestStart += b.cap
+	for start = cursor - kept; start < 0; {
+		start += b.cap
 	}
+	return start
 }
 
 // materialize replays every live fill, reconstructing the exact entries
 // an eager fill would have produced: each fill's tag stream is restored
 // from its recorded anchor, advanced by its lag plus the draws of the
-// slots before this buffer's (resolved by the first draw), and the
-// buffer's entries written from the ring position where the previous
-// fill stopped. Retired fills are not replayed; the entries they wrote
-// are provably overwritten by the live ones.
+// slots before this buffer's (the shape's prefix, resolved by the first
+// draw), and the buffer's entries written from the ring position where
+// the previous fill stopped. Retired fills are not replayed; the entries
+// they wrote are provably overwritten by the live ones. The buffer must
+// be charged (sync) first.
 func (b *Buffer) materialize() {
-	b.retire()
+	pos := b.retire()
 	for len(b.entries) < b.vlen {
 		b.entries = append(b.entries, Entry{})
 	}
 	l := b.log
-	pos := b.oldestStart
-	for i := int(b.oldest - l.base); i < len(l.fills); i++ {
+	for i := b.firstLive(); i < len(l.fills); i++ {
 		f := &l.fills[i]
-		var skip uint64
-		for _, o := range l.bufs[:b.slot] {
-			skip += uint64(l.count(f.fp, o.cap))
-		}
-		n := l.count(f.fp, b.cap)
+		sh := &l.shapes[f.shape]
+		skip, n := uint64(sh.pre[b.slot]), int(sh.n[b.slot])
 		var s sim.Source
 		s.SetState(f.anchor)
 		if f.frac < 0 {

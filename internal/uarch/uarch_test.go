@@ -342,7 +342,7 @@ func TestFillMatchesSequentialInsert(t *testing.T) {
 					frac, per = tc.secretFrac, 2
 				}
 				anchor, lag := fastSrc.Mark()
-				got := log.push(fill{anchor: anchor, lag: lag, fp: float64(n) / float64(tc.cap), frac: frac, domain: d})
+				got := log.push(fill{anchor: anchor, lag: lag, frac: frac, domain: d}, float64(n)/float64(tc.cap))
 				if got != n {
 					t.Fatalf("round %d: fill of %d entries, want %d", r, got, n)
 				}
