@@ -2,8 +2,11 @@
 # (the module and the bench module), build, a fast race pass over the
 # runner and engine, full race-enabled tests, a benchsuite smoke run, a
 # traced-run smoke (Chrome trace export), a plain test run (the one run
-# of the allocation gates, TestZeroAlloc* and friends, without the race
-# detector), one iteration of every Go benchmark (so none rots unseen),
+# of the allocation gates without the race detector: TestZeroAlloc*,
+# among them the granule table's TestZeroAllocUntouchedReads and
+# TestZeroAllocDelegateResident and hw's TestZeroAllocRecordExecution,
+# plus TestTrialAllocs and TestSteadyStateTrialAllocs), one iteration of
+# every Go benchmark (so none rots unseen),
 # an end-to-end determinism check (serial CSV output == 8-way parallel
 # CSV output) and the committed benchmark artifact digests.
 # Host cost is measured by bench/run.sh.

@@ -17,7 +17,9 @@
 // experiment's trials; results are bit-identical to a serial run for
 // the same seed, whatever the worker count. Each worker reuses one
 // pooled simulation context (engine, machine, granule table, metric
-// set) across its trials.
+// set) across its trials; the granule table allocates pages only for
+// the memory trials delegate, so a worker's footprint follows what its
+// trials touch, not the modelled machine's 16 GiB.
 // Without -full, reduced sweeps keep the total runtime in the minutes
 // range; -full runs the paper-sized configurations (Fig. 6 up to 63
 // dedicated cores).

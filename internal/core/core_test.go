@@ -123,21 +123,25 @@ func TestGappedCoreGapInvariant(t *testing.T) {
 	}
 	n.RunUntilAllHalted(5 * sim.Second)
 	for _, c := range vm.GuestCores() {
-		for _, d := range n.Mach.Core(c).DomainsObserved() {
-			if d != vm.Domain() && d != uarch.DomainMonitor && d != uarch.DomainHost {
-				t.Fatalf("foreign domain %v on dedicated core %d", d, c)
+		var guest, host *hw.DomainRun
+		runs := n.Mach.Core(c).DomainsObserved()
+		for i, r := range runs {
+			switch r.Domain {
+			case vm.Domain():
+				guest = &runs[i]
+			case uarch.DomainHost:
+				host = &runs[i]
+			case uarch.DomainMonitor:
+			default:
+				t.Fatalf("foreign domain %v on dedicated core %d", r.Domain, c)
 			}
 		}
-		// Host may appear in the log only BEFORE dedication (hotplug).
-		log := n.Mach.Core(c).ExecLog()
-		seenGuest := false
-		for _, r := range log {
-			if r.Domain == vm.Domain() {
-				seenGuest = true
-			}
-			if seenGuest && r.Domain == uarch.DomainHost {
-				t.Fatalf("host executed on core %d after guest started", c)
-			}
+		if guest == nil {
+			t.Fatalf("guest never ran on dedicated core %d", c)
+		}
+		// Host may run on the core only BEFORE dedication (hotplug).
+		if host != nil && host.Last > guest.First {
+			t.Fatalf("host executed on core %d after guest started", c)
 		}
 	}
 }

@@ -97,8 +97,8 @@ type Node struct {
 
 // Context bundles the expensive, resettable substrate a Node is built
 // on: the simulation engine (event heap, free list, random sources),
-// the machine (core microarchitectural buffers, the multi-megabyte
-// granule table, shared socket state) and the metric set. A Context is
+// the machine (core microarchitectural buffers, the paged granule
+// table, shared socket state) and the metric set. A Context is
 // reused across trials via Reset; the cheap per-trial object graph
 // (kernel, monitor, planner, VMs) is rebuilt fresh on top by NewNodeIn.
 type Context struct {

@@ -96,7 +96,7 @@ func TestRebindSharedModeRefused(t *testing.T) {
 }
 
 func TestRebindPreservesCoreGapInvariant(t *testing.T) {
-	// After a rebind, the audit logs must still show no foreign guest
+	// After a rebind, the domain records must still show no foreign guest
 	// domain ever shared a core with the victim while it was bound.
 	n := NewNode(8, GappedDefault(), DefaultParams(), 3)
 	cmA := guest.NewCoreMark(2, 150*sim.Millisecond)
@@ -117,14 +117,14 @@ func TestRebindPreservesCoreGapInvariant(t *testing.T) {
 	if !cmA.Done() || !cmB.Done() {
 		t.Fatal("workloads incomplete")
 	}
-	// No core's audit log may contain both guests.
+	// No core's domain record may contain both guests.
 	for _, c := range n.Mach.Cores() {
 		sawA, sawB := false, false
-		for _, d := range c.DomainsObserved() {
-			if d == vmA.Domain() {
+		for _, r := range c.DomainsObserved() {
+			if r.Domain == vmA.Domain() {
 				sawA = true
 			}
-			if d == vmB.Domain() {
+			if r.Domain == vmB.Domain() {
 				sawB = true
 			}
 		}

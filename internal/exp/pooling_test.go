@@ -136,16 +136,17 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestTrialAllocs is the allocation gate of the pooling work. The
-// pre-pooling profile showed trial construction — the 32 MiB granule
-// table above all — was ~79% of every byte the suite allocated, so the
-// gate is on bytes: a steady-state pooled trial must allocate at least
-// 5x fewer bytes than the fresh-construction path (in practice the
-// reduction is ~700x; 5x is the regression floor from the issue). The
-// allocation *count* must also drop — the substrate's several hundred
-// construction allocations disappear — but the surviving per-trial
-// object graph (kernel, monitor, VMs, event closures) is rebuilt by
-// design, so the count gate is directional, not 5x.
+// TestTrialAllocs gates the bytes a trial allocates, on both paths. A
+// fresh Execute builds the whole substrate (engine, machine, µarch
+// buffers and a granule table whose pages are allocated only where the
+// trial delegates memory), ~0.2 MB for this spec; a steady-state pooled
+// trial rebuilds only its per-trial object graph (kernel, monitor, VMs,
+// event closures), ~66 KB. The ceilings, 1 MiB fresh and 128 KiB
+// pooled, catch any per-trial structure sized by the machine rather
+// than by what the trial touches. The allocation *count* must also drop
+// under pooling — the substrate's construction allocations disappear —
+// but the surviving graph is rebuilt by design, so that gate is
+// directional.
 func TestTrialAllocs(t *testing.T) {
 	spec := ScenarioSpec{ID: "alloc-gate", Config: ConfigGapped, Cores: 4, Seed: 11,
 		Workload: Workload{Kind: WLIPIBench, Rounds: 32}}
@@ -178,10 +179,13 @@ func TestTrialAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("bytes/trial: fresh=%.0f pooled=%.0f (%.0fx); allocs/trial: fresh=%.0f pooled=%.0f (%.1fx)",
-		freshBytes, pooledBytes, freshBytes/pooledBytes, fresh, pooled, fresh/pooled)
-	if pooledBytes*5 > freshBytes {
-		t.Errorf("pooled trial allocates %.0f bytes vs %.0f fresh; want >= 5x reduction", pooledBytes, freshBytes)
+	t.Logf("bytes/trial: fresh=%.0f pooled=%.0f; allocs/trial: fresh=%.0f pooled=%.0f",
+		freshBytes, pooledBytes, fresh, pooled)
+	if freshBytes > 1<<20 {
+		t.Errorf("fresh trial allocates %.0f bytes; want <= 1 MiB", freshBytes)
+	}
+	if pooledBytes > 128<<10 {
+		t.Errorf("pooled trial allocates %.0f bytes; want <= 128 KiB", pooledBytes)
 	}
 	if pooled >= fresh {
 		t.Errorf("pooled trial allocation count %.0f did not drop below fresh %.0f", pooled, fresh)

@@ -87,20 +87,34 @@ var (
 )
 
 type granule struct {
-	state State
 	owner RealmID
+	state State
 	dirty bool // held secret contents since last scrub
 }
 
+// pageShift sizes the table's pages: 512 granules (4 KiB of table
+// entries covering 2 MiB of physical memory) each.
+const (
+	pageShift = 9
+	pageLen   = 1 << pageShift
+	pageMask  = pageLen - 1
+)
+
+// page is one lazily allocated run of pageLen consecutive granules.
+type page [pageLen]granule
+
 // Table is the granule protection table for one machine's physical memory.
 type Table struct {
-	granules []granule
-	counts   [6]uint64
-	// hi is one past the highest granule index ever mutated. The table
-	// covers whole-machine physical memory (millions of granules), but a
-	// single run touches a tiny bump-allocated prefix plus a few stray
-	// addresses; Reset scrubs only [0, hi) instead of re-zeroing — or,
-	// worse, reallocating — the entire backing array.
+	// pages covers the whole physical address space, but a page is
+	// allocated only when a granule on it is first mutated: a run
+	// touches a tiny bump-allocated prefix plus a few stray addresses
+	// of millions of granules. An absent page reads as all granules
+	// undelegated, unowned and clean.
+	pages  []*page
+	n      uint64 // granule count
+	counts [6]uint64
+	// hi is one past the highest granule index ever mutated; Reset
+	// scrubs only the resident pages below it and keeps them for reuse.
 	hi uint64
 	// eng, when bound, receives counters and trace events for state
 	// transitions. The table stays usable unbound (tests build bare
@@ -111,23 +125,27 @@ type Table struct {
 // NewTable returns a table covering size bytes of physical memory, all
 // initially undelegated (host-owned).
 func NewTable(size uint64) *Table {
-	n := size / Size
-	t := &Table{granules: make([]granule, n)}
-	t.counts[Undelegated] = n
+	t := &Table{}
+	t.Reset(size)
 	return t
 }
 
 // Reset returns every granule to Undelegated for a table covering size
-// bytes, reusing the backing array when the size is unchanged (the
+// bytes, keeping the resident pages when the size is unchanged (the
 // common pooled-context case) so a reset table is observationally
-// identical to NewTable(size) without the multi-megabyte allocation.
+// identical to NewTable(size) and allocates nothing.
 func (t *Table) Reset(size uint64) {
 	n := size / Size
-	if n != uint64(len(t.granules)) {
-		t.granules = make([]granule, n)
-	} else if t.hi > 0 {
-		clear(t.granules[:t.hi])
+	if pages := (n + pageMask) >> pageShift; pages != uint64(len(t.pages)) {
+		t.pages = make([]*page, pages)
+	} else {
+		for _, p := range t.pages[:(t.hi+pageMask)>>pageShift] {
+			if p != nil {
+				clear(p[:])
+			}
+		}
 	}
+	t.n = n
 	t.hi = 0
 	t.counts = [6]uint64{}
 	t.counts[Undelegated] = n
@@ -150,34 +168,48 @@ func (t *Table) note(id sim.CounterID, name string, pa PA) {
 	t.eng.Trace().Emit(sim.TCGranule, name, sim.LaneGlobal, int64(pa))
 }
 
-// mark records that the granule at pa was mutated, widening the range
-// Reset must scrub. Callers pass an already-validated pa.
-func (t *Table) mark(pa PA) {
-	if idx := pa.Index(); idx >= t.hi {
-		t.hi = idx + 1
-	}
-}
-
 // Granules reports the total granule count.
-func (t *Table) Granules() uint64 { return uint64(len(t.granules)) }
+func (t *Table) Granules() uint64 { return t.n }
 
 // CountIn reports how many granules are in state s.
 func (t *Table) CountIn(s State) uint64 { return t.counts[s] }
 
-func (t *Table) lookup(pa PA) (*granule, error) {
+// lookup validates pa and returns its granule's index and contents; it
+// allocates nothing.
+func (t *Table) lookup(pa PA) (uint64, granule, error) {
 	if !pa.Aligned() {
-		return nil, ErrUnaligned
+		return 0, granule{}, ErrUnaligned
 	}
 	idx := pa.Index()
-	if idx >= uint64(len(t.granules)) {
-		return nil, ErrOutOfRange
+	if idx >= t.n {
+		return 0, granule{}, ErrOutOfRange
 	}
-	return &t.granules[idx], nil
+	if p := t.pages[idx>>pageShift]; p != nil {
+		return idx, p[idx&pageMask], nil
+	}
+	return idx, granule{}, nil
+}
+
+// store writes back g, the granule at a validated index, after a
+// transition out of state from: it moves the state counts, allocates the
+// granule's page on first use and widens the range Reset must scrub.
+func (t *Table) store(idx uint64, from State, g granule) {
+	t.counts[from]--
+	t.counts[g.state]++
+	p := t.pages[idx>>pageShift]
+	if p == nil {
+		p = new(page)
+		t.pages[idx>>pageShift] = p
+	}
+	p[idx&pageMask] = g
+	if idx >= t.hi {
+		t.hi = idx + 1
+	}
 }
 
 // State reports the state of the granule at pa.
 func (t *Table) State(pa PA) (State, error) {
-	g, err := t.lookup(pa)
+	_, g, err := t.lookup(pa)
 	if err != nil {
 		return Undelegated, err
 	}
@@ -186,23 +218,17 @@ func (t *Table) State(pa PA) (State, error) {
 
 // Owner reports the realm owning the granule at pa (0 when none).
 func (t *Table) Owner(pa PA) (RealmID, error) {
-	g, err := t.lookup(pa)
+	_, g, err := t.lookup(pa)
 	if err != nil {
 		return 0, err
 	}
 	return g.owner, nil
 }
 
-func (t *Table) transition(g *granule, to State) {
-	t.counts[g.state]--
-	g.state = to
-	t.counts[to]++
-}
-
 // Delegate moves an undelegated granule into realm world
 // (RMI_GRANULE_DELEGATE). The granule is scrubbed on entry.
 func (t *Table) Delegate(pa PA) error {
-	g, err := t.lookup(pa)
+	idx, g, err := t.lookup(pa)
 	if err != nil {
 		return err
 	}
@@ -212,9 +238,8 @@ func (t *Table) Delegate(pa PA) error {
 	if g.state != Undelegated {
 		return ErrBadState
 	}
-	t.transition(g, Delegated)
-	g.dirty = false
-	t.mark(pa)
+	g.state, g.dirty = Delegated, false
+	t.store(idx, Undelegated, g)
 	t.note(cDelegate, "granule.delegate", pa)
 	return nil
 }
@@ -224,7 +249,7 @@ func (t *Table) Delegate(pa PA) error {
 // been scrubbed first; returning secret-bearing memory to the host would
 // be an architectural leak.
 func (t *Table) Undelegate(pa PA) error {
-	g, err := t.lookup(pa)
+	idx, g, err := t.lookup(pa)
 	if err != nil {
 		return err
 	}
@@ -234,8 +259,8 @@ func (t *Table) Undelegate(pa PA) error {
 	if g.dirty {
 		return ErrNotScrubbed
 	}
-	t.transition(g, Undelegated)
-	t.mark(pa)
+	g.state = Undelegated
+	t.store(idx, Delegated, g)
 	t.note(cUndelegate, "granule.undelegate", pa)
 	return nil
 }
@@ -246,17 +271,15 @@ func (t *Table) Claim(pa PA, to State, owner RealmID) error {
 	if to != RD && to != REC && to != RTT && to != Data {
 		return ErrBadState
 	}
-	g, err := t.lookup(pa)
+	idx, g, err := t.lookup(pa)
 	if err != nil {
 		return err
 	}
 	if g.state != Delegated {
 		return ErrBadState
 	}
-	t.transition(g, to)
-	g.owner = owner
-	g.dirty = true
-	t.mark(pa)
+	g.state, g.owner, g.dirty = to, owner, true
+	t.store(idx, Delegated, g)
 	t.note(cClaim, "granule.claim", pa)
 	return nil
 }
@@ -264,11 +287,12 @@ func (t *Table) Claim(pa PA, to State, owner RealmID) error {
 // Release scrubs a realm-internal granule back to Delegated. Only the
 // owning realm's teardown path may release it.
 func (t *Table) Release(pa PA, owner RealmID) error {
-	g, err := t.lookup(pa)
+	idx, g, err := t.lookup(pa)
 	if err != nil {
 		return err
 	}
-	switch g.state {
+	from := g.state
+	switch from {
 	case RD, REC, RTT, Data:
 	default:
 		return ErrBadState
@@ -276,10 +300,8 @@ func (t *Table) Release(pa PA, owner RealmID) error {
 	if g.owner != owner {
 		return ErrWrongOwner
 	}
-	t.transition(g, Delegated)
-	g.owner = 0
-	g.dirty = false // release implies scrub
-	t.mark(pa)
+	g.state, g.owner, g.dirty = Delegated, 0, false // release implies scrub
+	t.store(idx, from, g)
 	t.note(cRelease, "granule.release", pa)
 	return nil
 }
@@ -288,7 +310,7 @@ func (t *Table) Release(pa PA, owner RealmID) error {
 // This is the granule protection check performed (by hardware) on every
 // host access; a false return models an instruction-level fault.
 func (t *Table) HostAccessible(pa PA) bool {
-	g, err := t.lookup(PA(uint64(pa) / Size * Size))
+	_, g, err := t.lookup(PA(uint64(pa) / Size * Size))
 	if err != nil {
 		return false
 	}
@@ -299,7 +321,7 @@ func (t *Table) HostAccessible(pa PA) bool {
 // stage-2 tables (the granule must be realm-owned by r, or shared
 // normal-world memory which the architecture maps as untrusted-shared).
 func (t *Table) RealmAccessible(pa PA, r RealmID) bool {
-	g, err := t.lookup(PA(uint64(pa) / Size * Size))
+	_, g, err := t.lookup(PA(uint64(pa) / Size * Size))
 	if err != nil {
 		return false
 	}

@@ -300,6 +300,17 @@ func TestEncodeOpTagBounds(t *testing.T) {
 	mustPanic(-1)
 	mustPanic(1 << 24)
 	mustPanic(1<<24 + 5)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("EncodeOpTag of an unknown op did not panic")
+			}
+		}()
+		EncodeOpTag(OpLRange100+1, 0)
+	}()
+	if tag := EncodeOpTag(OpLRange100, 1<<24-1); tag >= 3<<24 {
+		t.Fatalf("largest tag %#x not below 3·2^24", tag)
+	}
 
 	for _, id := range []int{0, 1, 1<<24 - 1} {
 		op, got := DecodeOpTag(EncodeOpTag(OpSet, id))

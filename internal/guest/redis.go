@@ -61,10 +61,12 @@ func (o RedisOp) ReplyBytes() int {
 // redis-benchmark client model lives with the NIC.
 type Redis struct {
 	dev DeviceClass
-	// pending[head:] are the received, unserved requests. Serving
-	// advances head; the array is rewound once drained (or compacted
-	// when full), so a steady request stream reuses one backing array.
-	pending []Event
+	// pending[head:] are the tags of the received, unserved requests
+	// (a request is its tag: EncodeOpTag keeps them below 3·2^24).
+	// Serving advances head; the array is rewound once drained (or
+	// compacted when full), so a steady request stream reuses one
+	// backing array.
+	pending []int32
 	head    int
 	served  uint64
 	// replying holds the op whose reply must be sent after service;
@@ -100,14 +102,14 @@ func (r *Redis) Next(vcpu int) Action {
 	if r.Backlog() == 0 {
 		return WFI()
 	}
-	ev := r.pending[r.head]
+	tag := int(r.pending[r.head])
 	r.head++
 	if r.head == len(r.pending) {
 		r.pending = r.pending[:0]
 		r.head = 0
 	}
-	r.replying = RedisOp(ev.Tag >> 24)
-	r.pendingTagForReply = ev.Tag
+	r.replying = RedisOp(tag >> 24)
+	r.pendingTagForReply = tag
 	r.inService = true
 	// epoll wakeup + parse + execute.
 	return ComputeFor(r.epollFloor + r.replying.ServiceTime())
@@ -120,7 +122,7 @@ func (r *Redis) Deliver(vcpu int, ev Event) {
 			r.pending = r.pending[:copy(r.pending, r.pending[r.head:])]
 			r.head = 0
 		}
-		r.pending = append(r.pending, ev)
+		r.pending = append(r.pending, int32(ev.Tag))
 	}
 }
 
@@ -134,10 +136,15 @@ func (r *Redis) Backlog() int { return len(r.pending) - r.head }
 // client id occupies the low 24 bits; an out-of-range id would silently
 // corrupt the operation on decode (the overflow bits OR into the op
 // field), so it panics instead — open-loop runs model tens of thousands
-// of connections and must fail loudly, not serve the wrong op.
+// of connections and must fail loudly, not serve the wrong op. An
+// unknown op panics too, so every tag is below 3·2^24 and fits the
+// server's int32 request queue.
 func EncodeOpTag(op RedisOp, clientID int) int {
 	if clientID < 0 || clientID >= 1<<24 {
 		panic(fmt.Sprintf("guest: EncodeOpTag client id %d out of range [0, 2^24)", clientID))
+	}
+	if op < OpSet || op > OpLRange100 {
+		panic(fmt.Sprintf("guest: EncodeOpTag unknown op %d", int(op)))
 	}
 	return int(op)<<24 | clientID
 }

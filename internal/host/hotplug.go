@@ -54,11 +54,7 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 	// Stop the running thread and collect every queued thread.
 	var displaced []*Thread
 	if cs.cur != nil {
-		t := cs.cur
-		t.rem = k.mach.Core(id).Exec.Preempt()
-		t.cpuTime += k.eng.Now().Sub(t.sliceStart)
-		cs.quantum.Disarm()
-		cs.cur = nil
+		t := k.takeCurrent(cs)
 		t.state = Runnable
 		displaced = append(displaced, t)
 	}
@@ -75,7 +71,7 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 
 	// The shutdown procedure itself takes time; the final action is
 	// either halting the core or handing it to the monitor.
-	k.eng.After(HotplugCost, "hotplug-off", func() {
+	cs.hotplug = k.eng.After(HotplugCost, "hotplug-off", func() {
 		if handoff != nil {
 			k.mach.SetPower(id, hw.DedicatedRealm)
 			handoff()
@@ -97,6 +93,9 @@ func (k *Kernel) OnlineCore(id hw.CoreID) error {
 		return ErrCoreOnline
 	}
 	cs.offline = false
+	// An online that overtakes a shutdown still in progress aborts it:
+	// the core must not halt, or pass to the monitor, under the host.
+	k.eng.Cancel(cs.hotplug)
 	k.eng.Count(cHotplugOn)
 	k.eng.Trace().Emit(sim.TCEngine, "host.hotplug_online", int32(id), 0)
 	k.mach.SetPower(id, hw.Online)

@@ -86,26 +86,24 @@ func (k *Kernel) StealCPU(core hw.CoreID, cost sim.Duration, fn func()) {
 }
 
 // stealDone ends an IRQ steal: it runs the handler, then gives the core
-// back — resuming the interrupted thread directly when it is still
-// cs.cur (it never left, so just restart its executor slice), else
-// dispatching afresh.
+// back — restarting the interrupted thread's executor slice when the
+// steal still holds it, else dispatching afresh. Every path that takes
+// cs.cur away mid-steal (Kill, OfflineCore, also from the handler)
+// releases that hold through takeCurrent, so the held thread is still
+// cs.cur.
 func (cs *coreSched) stealDone() {
 	k := cs.k
-	fn, t := cs.stealFn, cs.stolen
-	cs.stealFn, cs.stolen = nil, nil
-	if fn != nil {
+	if fn := cs.stealFn; fn != nil {
+		cs.stealFn = nil
 		fn()
 	}
+	t := cs.stolen
+	cs.stolen = nil
 	cs.stealing = false
 	if t == nil {
 		k.dispatch(cs)
 		return
 	}
-	if cs.cur == t && t.state == Running && t.cur != nil {
-		k.startCurrent(cs)
-		cs.quantum.Commit(k.mach.Core(cs.id).Exec.End())
-		return
-	}
-	cs.cur = nil
-	k.dispatch(cs)
+	k.startCurrent(cs)
+	cs.quantum.Commit(k.mach.Core(cs.id).Exec.End())
 }

@@ -55,6 +55,8 @@ type coreSched struct {
 	stealFn  func()
 	stolen   *Thread
 	offline  bool
+	// hotplug is the pending end of an OfflineCore shutdown procedure.
+	hotplug sim.Event
 
 	// sliceDoneFn and stealDoneFn are cs.sliceDone and cs.stealDone,
 	// bound once so the scheduling path allocates nothing.
@@ -132,9 +134,7 @@ func (k *Kernel) Kill(t *Thread) {
 	switch t.state {
 	case Running:
 		cs := k.cores[t.core]
-		k.mach.Core(t.core).Exec.Preempt()
-		cs.quantum.Disarm()
-		cs.cur = nil
+		k.takeCurrent(cs)
 		t.state = Dead
 		k.dispatch(cs)
 	case Runnable:
@@ -211,17 +211,31 @@ func (k *Kernel) wake(t *Thread) {
 	k.dispatch(cs)
 }
 
+// takeCurrent takes the running thread off its core, with its remaining
+// work saved in rem and its slice charged as CPU time. During an IRQ
+// steal StealCPU has already done both and stopped the executor, so
+// only the steal's hold on the thread is dropped: stealDone then just
+// runs its handler.
+func (k *Kernel) takeCurrent(cs *coreSched) *Thread {
+	t := cs.cur
+	if cs.stealing {
+		cs.stolen = nil
+	} else {
+		t.rem = k.mach.Core(cs.id).Exec.Preempt()
+		t.cpuTime += k.eng.Now().Sub(t.sliceStart)
+	}
+	cs.quantum.Disarm()
+	cs.cur = nil
+	return t
+}
+
 // preemptCurrent stops the running thread; front requeues it at the head
 // of its queue (involuntary preemption) rather than the tail.
 func (k *Kernel) preemptCurrent(cs *coreSched, front bool) {
-	t := cs.cur
-	if t == nil {
+	if cs.cur == nil {
 		return
 	}
-	t.rem = k.mach.Core(cs.id).Exec.Preempt()
-	t.cpuTime += k.eng.Now().Sub(t.sliceStart)
-	cs.quantum.Disarm()
-	cs.cur = nil
+	t := k.takeCurrent(cs)
 	t.state = Runnable
 	if t.class == ClassFIFO {
 		if front {

@@ -110,11 +110,13 @@ func (i IRQ) IsSGI() bool { return i >= 0 && i < 16 }
 // IRQHandler receives interrupts delivered to a core.
 type IRQHandler func(from CoreID, irq IRQ)
 
-// ExecRecord is one entry of a core's execution audit log.
-type ExecRecord struct {
-	At     sim.Time
-	Domain uarch.DomainID
-	World  World
+// DomainRun is a core's complete record of one security domain's
+// executions there: the ordinals, in that core's sequence of
+// RecordExecution calls, of the domain's first and last execution. "X
+// ran on the core after the guest started" is X.Last > guest.First.
+type DomainRun struct {
+	Domain      uarch.DomainID
+	First, Last uint64
 }
 
 // Core is one physical core.
@@ -134,20 +136,22 @@ type Core struct {
 	handler IRQHandler
 
 	curDomain uarch.DomainID
-	log       []ExecRecord
-	maxLog    int
+	// runs holds one DomainRun per domain ever executed on the core, in
+	// first-seen order; execs counts the executions recorded.
+	runs  []DomainRun
+	execs uint64
 }
 
 // reset returns the core to its just-built state: normal world, online,
-// no IRQ handler, empty audit log, cold (but capacity-retaining)
+// no IRQ handler, empty domain record, cold (but capacity-retaining)
 // microarchitectural structures, and an idle executor.
-func (c *Core) reset(logDepth int) {
+func (c *Core) reset() {
 	c.world = NormalWorld
 	c.power = Online
 	c.handler = nil
 	c.curDomain = uarch.DomainNone
-	c.log = c.log[:0]
-	c.maxLog = logDepth
+	c.runs = c.runs[:0]
+	c.execs = 0
 	c.Uarch.Reset()
 	c.Exec.reset()
 }
@@ -205,31 +209,27 @@ func (c *Core) FlushAll(costs uarch.FlushCosts) sim.Duration {
 // RecordExecution notes that domain d executed on this core for the
 // purposes of the security audit and microarchitectural state, touching
 // per-core structures with the given footprint and secret fraction.
+// Once d has been seen on the core it allocates nothing.
 func (c *Core) RecordExecution(d uarch.DomainID, footprint, secretFrac float64) {
 	c.curDomain = d
 	c.Uarch.Touch(d, footprint, secretFrac, c.mach.tagSrc)
-	if len(c.log) < c.maxLog {
-		c.log = append(c.log, ExecRecord{At: c.mach.eng.Now(), Domain: d, World: c.world})
-	}
-}
-
-// ExecLog returns the core's execution audit log (bounded).
-func (c *Core) ExecLog() []ExecRecord { return c.log }
-
-// DomainsObserved reports the distinct domains that ever executed on the
-// core, in first-seen order. Tests use this to verify the core-gapping
-// invariant: a dedicated core sees only {monitor, its guest}.
-func (c *Core) DomainsObserved() []uarch.DomainID {
-	var out []uarch.DomainID
-	seen := map[uarch.DomainID]bool{}
-	for _, r := range c.log {
-		if !seen[r.Domain] {
-			seen[r.Domain] = true
-			out = append(out, r.Domain)
+	n := c.execs
+	c.execs++
+	for i := range c.runs {
+		if c.runs[i].Domain == d {
+			c.runs[i].Last = n
+			return
 		}
 	}
-	return out
+	c.runs = append(c.runs, DomainRun{Domain: d, First: n, Last: n})
 }
+
+// DomainsObserved reports every domain that ever executed on the core,
+// in first-seen order, with the span of its executions. Tests use this
+// to verify the core-gapping invariant: a dedicated core sees only
+// {monitor, its guest} once the guest has started. The slice is the
+// core's own record; callers must not modify it.
+func (c *Core) DomainsObserved() []DomainRun { return c.runs }
 
 // Machine is the whole physical platform.
 type Machine struct {
@@ -259,7 +259,6 @@ type Config struct {
 	IPILatency      sim.Duration // physical SGI delivery latency
 	WorldSwitchCost sim.Duration // one EL3-mediated world transition
 	FreqGHz         float64
-	ExecLogDepth    int // per-core audit-log bound (0 = default)
 }
 
 // DefaultConfig models the evaluation platform: an AmpereOne-class SoC,
@@ -272,7 +271,6 @@ func DefaultConfig(cores int) Config {
 		IPILatency:      500 * sim.Nanosecond,
 		WorldSwitchCost: 1200 * sim.Nanosecond,
 		FreqGHz:         3.0,
-		ExecLogDepth:    4096,
 	}
 }
 
@@ -280,9 +278,6 @@ func DefaultConfig(cores int) Config {
 func NewMachine(eng *sim.Engine, cfg Config) *Machine {
 	if cfg.Cores <= 0 {
 		panic("hw: machine with no cores")
-	}
-	if cfg.ExecLogDepth <= 0 {
-		cfg.ExecLogDepth = 4096
 	}
 	m := &Machine{
 		eng:             eng,
@@ -294,18 +289,17 @@ func NewMachine(eng *sim.Engine, cfg Config) *Machine {
 		freqGHz:         cfg.FreqGHz,
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		m.all = append(m.all, m.newCore(CoreID(i), cfg.ExecLogDepth))
+		m.all = append(m.all, m.newCore(CoreID(i)))
 	}
 	m.cores = m.all
 	return m
 }
 
-func (m *Machine) newCore(id CoreID, logDepth int) *Core {
+func (m *Machine) newCore(id CoreID) *Core {
 	c := &Core{
-		id:     id,
-		mach:   m,
-		Uarch:  uarch.NewCoreState(),
-		maxLog: logDepth,
+		id:    id,
+		mach:  m,
+		Uarch: uarch.NewCoreState(),
 	}
 	c.Exec = newExecutor(m.eng, c)
 	return c
@@ -321,20 +315,17 @@ func (m *Machine) Reset(cfg Config) {
 	if cfg.Cores <= 0 {
 		panic("hw: machine with no cores")
 	}
-	if cfg.ExecLogDepth <= 0 {
-		cfg.ExecLogDepth = 4096
-	}
 	m.shared.Reset()
 	m.gpt.Reset(cfg.MemBytes)
 	m.ipiLatency = cfg.IPILatency
 	m.worldSwitchCost = cfg.WorldSwitchCost
 	m.freqGHz = cfg.FreqGHz
 	for len(m.all) < cfg.Cores {
-		m.all = append(m.all, m.newCore(CoreID(len(m.all)), cfg.ExecLogDepth))
+		m.all = append(m.all, m.newCore(CoreID(len(m.all))))
 	}
 	m.cores = m.all[:cfg.Cores]
 	for _, c := range m.cores {
-		c.reset(cfg.ExecLogDepth)
+		c.reset()
 	}
 }
 

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"slices"
 	"testing"
 
 	"coregap/internal/sim"
@@ -118,24 +119,39 @@ func TestPowerStates(t *testing.T) {
 }
 
 func TestExecutionAuditLog(t *testing.T) {
-	_, m := newMachine(t, 1)
+	eng, m := newMachine(t, 1)
 	c := m.Core(0)
 	c.RecordExecution(uarch.DomainHost, 0.1, 0)
 	c.RecordExecution(uarch.Guest(0), 0.1, 0)
 	c.RecordExecution(uarch.DomainHost, 0.1, 0)
-	doms := c.DomainsObserved()
-	if len(doms) != 2 || doms[0] != uarch.DomainHost || doms[1] != uarch.Guest(0) {
-		t.Fatalf("domains = %v", doms)
+	want := []DomainRun{{uarch.DomainHost, 0, 2}, {uarch.Guest(0), 1, 1}}
+	if doms := c.DomainsObserved(); !slices.Equal(doms, want) {
+		t.Fatalf("domains = %v, want %v", doms, want)
 	}
 	if c.CurrentDomain() != uarch.DomainHost {
 		t.Fatal("current domain")
 	}
-	if len(c.ExecLog()) != 3 {
-		t.Fatalf("log len = %d", len(c.ExecLog()))
-	}
 	// Uarch state must have been touched.
 	if c.Uarch.Warmth(uarch.Guest(0)) == 0 {
 		t.Fatal("RecordExecution did not touch uarch state")
+	}
+	// The record is complete: it keeps tracking past any fixed depth.
+	for i := 0; i < 5000; i++ {
+		c.RecordExecution(uarch.DomainMonitor, 0.1, 0)
+	}
+	c.RecordExecution(uarch.Guest(0), 0.1, 0)
+	want = []DomainRun{{uarch.DomainHost, 0, 2}, {uarch.Guest(0), 1, 5003}, {uarch.DomainMonitor, 3, 5002}}
+	if doms := c.DomainsObserved(); !slices.Equal(doms, want) {
+		t.Fatalf("domains after 5004 executions = %v, want %v", doms, want)
+	}
+	eng.Reset(1)
+	m.Reset(DefaultConfig(1))
+	if doms := c.DomainsObserved(); len(doms) != 0 {
+		t.Fatalf("domains after reset = %v", doms)
+	}
+	c.RecordExecution(uarch.Guest(1), 0.1, 0)
+	if doms := c.DomainsObserved(); !slices.Equal(doms, []DomainRun{{uarch.Guest(1), 0, 0}}) {
+		t.Fatalf("domains after reset and one execution = %v", doms)
 	}
 }
 
@@ -284,5 +300,28 @@ func TestZeroAllocExecutor(t *testing.T) {
 	}
 	if done != 1002 || irqs != 1002 {
 		t.Fatalf("completions = %d, irqs = %d; want 1002 and 1002", done, irqs)
+	}
+}
+
+// TestZeroAllocRecordExecution gates the dispatch-path audit: once every
+// domain running on a core has been seen there, recording an execution
+// (domain record plus µarch touch) allocates nothing, however long the
+// run.
+func TestZeroAllocRecordExecution(t *testing.T) {
+	_, m := newMachine(t, 1)
+	c := m.Core(0)
+	cycle := func() {
+		c.RecordExecution(uarch.DomainHost, 0.25, 0)
+		c.RecordExecution(uarch.DomainMonitor, 0.05, 0)
+		c.RecordExecution(uarch.Guest(0), 0.6, 0.3)
+	}
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Errorf("RecordExecution: %.2f allocs/op in steady state, want 0", avg)
+	}
+	if runs := c.DomainsObserved(); len(runs) != 3 || runs[2].Last != c.execs-1 {
+		t.Fatalf("domain record = %v after %d executions", runs, c.execs)
 	}
 }
