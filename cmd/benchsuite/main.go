@@ -29,7 +29,6 @@
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -37,7 +36,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -61,34 +59,10 @@ var (
 	countersCSV = flag.Bool("counters", false, "with -csv, also write each experiment's per-trial engine counters as <exp>-counters.csv")
 )
 
-// trialCounters renders an experiment's per-trial engine counter banks
-// as CSV (trial,counter,value rows, trial then counter order). Trial IDs
-// may hold commas ("busy-wait, no delegation@8"), so fields are quoted
-// where CSV needs it.
-type trialCounters struct{ rep *exp.Report }
-
-func (tc trialCounters) CSV() string {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
-	w.Write([]string{"trial", "counter", "value"})
-	for _, t := range tc.rep.Trials {
-		names := make([]string, 0, len(t.Counters))
-		for name := range t.Counters {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			w.Write([]string{t.Spec.ID, name, strconv.FormatUint(t.Counters[name], 10)})
-		}
-	}
-	w.Flush()
-	return b.String()
-}
-
 // emit writes an artifact's CSV rendering into -csv's directory. Unlike
 // printing, a failed write is a hard error: a partial CSV tree silently
 // poisons downstream plotting.
-func emit(name string, item interface{ CSV() string }) error {
+func emit(name, csv string) error {
 	if *csvDir == "" {
 		return nil
 	}
@@ -96,7 +70,7 @@ func emit(name string, item interface{ CSV() string }) error {
 		return fmt.Errorf("csv %s: %w", name, err)
 	}
 	path := filepath.Join(*csvDir, name+".csv")
-	if err := os.WriteFile(path, []byte(item.CSV()), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
 		return fmt.Errorf("csv %s: %w", name, err)
 	}
 	return nil
@@ -243,12 +217,12 @@ func main() {
 		}
 
 		for _, a := range rep.Artifacts {
-			if err := emit(a.Name, a.Item); err != nil {
+			if err := emit(a.Name, a.Item.CSV()); err != nil {
 				fail(1, "benchsuite: %v\n", err)
 			}
 		}
 		if *countersCSV {
-			if err := emit(rep.Experiment+"-counters", trialCounters{rep}); err != nil {
+			if err := emit(rep.Experiment+"-counters", rep.CountersCSV()); err != nil {
 				fail(1, "benchsuite: %v\n", err)
 			}
 		}

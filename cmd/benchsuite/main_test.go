@@ -16,7 +16,7 @@ func TestCountersCSVParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := csv.NewReader(strings.NewReader(trialCounters{reports[0]}.CSV()))
+	r := csv.NewReader(strings.NewReader(reports[0].CountersCSV()))
 	r.FieldsPerRecord = -1
 	rows, err := r.ReadAll()
 	if err != nil {

@@ -1,7 +1,11 @@
 package exp
 
 import (
+	"encoding/csv"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"coregap/internal/trace"
@@ -54,6 +58,28 @@ func (r *Report) Metas() []trace.RunMeta {
 		metas[i] = t.Meta
 	}
 	return metas
+}
+
+// CountersCSV renders the per-trial engine counter banks as CSV:
+// trial,counter,value rows, in trial then counter order. Trial IDs may
+// hold commas ("busy-wait, no delegation@8"), so fields are quoted where
+// CSV needs it.
+func (r *Report) CountersCSV() string {
+	var b strings.Builder
+	w := csv.NewWriter(&b)
+	w.Write([]string{"trial", "counter", "value"})
+	for _, t := range r.Trials {
+		names := make([]string, 0, len(t.Counters))
+		for name := range t.Counters {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			w.Write([]string{t.Spec.ID, name, strconv.FormatUint(t.Counters[name], 10)})
+		}
+	}
+	w.Flush()
+	return b.String()
 }
 
 // Experiment is one registered, named experiment: a declarative spec
