@@ -287,7 +287,8 @@ func (v *VCPU) exitToHost(info exitInfo) {
 }
 
 // ctxSave posts the exit record once the context is saved and wiped,
-// and notifies the host core.
+// and notifies the host core: by IPI, or, under the busy-wait ablation,
+// by telling the kernel when the polling vCPU thread will see it.
 func (v *VCPU) ctxSave() {
 	if v.stopped {
 		return
@@ -296,7 +297,9 @@ func (v *VCPU) ctxSave() {
 	v.mb.Complete(&v.exit, v.params().Transport.Prop)
 	v.exitCompletedAt = n.Eng.Now()
 	v.haveExitStamp = true
-	if !n.Opts.BusyWaitRPC {
+	if n.Opts.BusyWaitRPC {
+		n.Kern.PollReady(v.thread)
+	} else {
 		n.Mach.SendIPI(v.dcore, v.vm.assign.hostCore, hw.IPIGuestExit)
 	}
 }

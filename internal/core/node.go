@@ -179,15 +179,15 @@ func (n *Node) VMs() []*VM { return n.vms }
 // has halted, or maxSim elapses. It reports the halt time.
 func (n *Node) RunUntilAllHalted(maxSim sim.Duration) sim.Time {
 	deadline := n.Eng.Now().Add(maxSim)
+	// Only queued events halt a vCPU, so the check runs once per queued
+	// event, not once per chain event (sim.Engine.StepUntil).
 	for n.Eng.Now() < deadline {
 		if n.allHalted() {
 			return n.Eng.Now()
 		}
-		next := n.Eng.NextEventTime()
-		if next == sim.Forever || next > deadline {
+		if !n.Eng.StepUntil(deadline) {
 			break
 		}
-		n.Eng.Step()
 	}
 	return n.Eng.Now()
 }

@@ -118,6 +118,10 @@ type VCPU struct {
 	// boxed copy, and the call protocol (one outstanding response)
 	// keeps it stable until the host has read it.
 	exit exitInfo
+	// poll is the vCPU thread's idle loop under the busy-wait ablation:
+	// hostPollOnce, ready once the exit record is visible in the
+	// mailbox.
+	poll host.Poll
 
 	src *sim.Source
 
@@ -125,7 +129,6 @@ type VCPU struct {
 	// compute paths allocate nothing. Continuations that carry a payload
 	// go through bind instead.
 	guestDoneFn     func() // guestComputeDone
-	hostPollFn      func() // hostPollOnce
 	pickupFn        func() // pickup
 	ctxSaveFn       func() // ctxSave
 	ctxRestoreFn    func() // ctxRestore
@@ -139,7 +142,6 @@ type VCPU struct {
 func newVCPU(vm *VM, idx int, dcore hw.CoreID) *VCPU {
 	v := &VCPU{vm: vm, idx: idx, dcore: dcore, pendingRebind: hw.NoCore}
 	v.guestDoneFn = v.guestComputeDone
-	v.hostPollFn = v.hostPollOnce
 	v.pickupFn = v.pickup
 	v.ctxSaveFn = v.ctxSave
 	v.ctxRestoreFn = v.ctxRestore

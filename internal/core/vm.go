@@ -236,10 +236,8 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 	// blocking on IPI-driven wakeups.
 	if n.Opts.BusyWaitRPC {
 		for _, v := range vm.vcpus {
-			v := v
-			n.Kern.SetIdlePoll(v.thread, func() (sim.Duration, func()) {
-				return n.P.BusyPollSlice, v.hostPollFn
-			})
+			v.poll = host.Poll{Slice: n.P.BusyPollSlice, Action: v.hostPollOnce, ReadyAt: v.mb.ResponseVisibleAt}
+			n.Kern.SetIdlePoll(v.thread, &v.poll)
 			// Seed the polling loop.
 			n.Kern.Submit(v.thread, "poll-seed", 1, nil)
 		}

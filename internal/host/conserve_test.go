@@ -209,14 +209,53 @@ func (r *conserveRun) setPoll(t *Thread, on bool) {
 		r.k.SetIdlePoll(t, nil)
 		return
 	}
+	// The poll accounts every slice it completes, so every slice has an
+	// effect: it is always ready.
 	slice := sim.Duration(5+r.rng.Intn(20)) * sim.Microsecond
-	r.k.SetIdlePoll(t, func() (sim.Duration, func()) {
-		return slice, func() { r.pollWork[t] += slice }
+	r.k.SetIdlePoll(t, &Poll{
+		Slice:   slice,
+		Action:  func() { r.pollWork[t] += slice },
+		ReadyAt: func() sim.Time { return 0 },
 	})
 	// A poller needs one wake-up to start spinning.
 	if t.state == Blocked {
 		r.k.Submit(t, "seed", 0, nil)
 	}
+}
+
+// schedOp is one operation of a random host schedule: when, which kind
+// (x, read by each harness's switch), and on which thread and core.
+type schedOp struct {
+	at sim.Time
+	x  int
+	th int
+	c  hw.CoreID
+	on bool // for SetIdlePoll: on or off
+}
+
+// opKinds is the number of operation kinds the conservation harness
+// draws: Submit (x < 8), StealCPU (x < 12), a nested steal (12),
+// OfflineCore (x < 15), OnlineCore (x < 17), Kill (17) and SetIdlePoll
+// (18, 19). Harnesses that know more kinds draw x from a wider range.
+const opKinds = 20
+
+// randomOps draws a random schedule of 20–79 operations within horizon
+// on threads threads and cores cores, x in [0, kinds).
+func randomOps(rng *rand.Rand, threads, cores int, horizon sim.Duration, kinds int) []schedOp {
+	var ops []schedOp
+	for i := 0; i < 20+rng.Intn(60); i++ {
+		o := schedOp{
+			at: sim.Time(rng.Int63n(int64(horizon))),
+			th: rng.Intn(threads),
+			c:  hw.CoreID(rng.Intn(cores)),
+			x:  rng.Intn(kinds),
+		}
+		if o.x == 18 || o.x == 19 {
+			o.on = rng.Intn(2) == 0
+		}
+		ops = append(ops, o)
+	}
+	return ops
 }
 
 func runConserve(t *testing.T, seed int64) {
@@ -242,12 +281,10 @@ func runConserve(t *testing.T, seed int64) {
 	}
 
 	const horizon = 4 * sim.Millisecond
-	for i := 0; i < 20+rng.Intn(60); i++ {
-		at := sim.Time(rng.Int63n(int64(horizon)))
-		th := r.threads[rng.Intn(len(r.threads))]
-		c := hw.CoreID(rng.Intn(cores))
+	for _, o := range randomOps(rng, len(r.threads), cores, horizon, opKinds) {
+		th, c, on := r.threads[o.th], o.c, o.on
 		var op func()
-		switch x := rng.Intn(20); {
+		switch x := o.x; {
 		case x < 8:
 			op = func() { r.submit(th) }
 		case x < 12:
@@ -268,10 +305,9 @@ func runConserve(t *testing.T, seed int64) {
 		case x == 17:
 			op = func() { r.kill(th) }
 		default:
-			on := rng.Intn(2) == 0
 			op = func() { r.setPoll(th, on) }
 		}
-		eng.At(at, "op", func() { op(); r.check() })
+		eng.At(o.at, "op", func() { op(); r.check() })
 	}
 	// Sample the invariants between operations too.
 	var tick func()

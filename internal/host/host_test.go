@@ -211,14 +211,27 @@ func TestIRQDispatchToHandler(t *testing.T) {
 func TestIdlePollBusyWait(t *testing.T) {
 	eng, m, k := newKernel(t, 1)
 	th := k.NewThread("poller", ClassNormal, 0)
-	polls := 0
-	k.SetIdlePoll(th, func() (sim.Duration, func()) {
-		return 10 * sim.Microsecond, func() { polls++ }
+	// The poll finds work once, from 500.5 µs on.
+	ready, found := sim.Forever, sim.Time(-1)
+	k.SetIdlePoll(th, &Poll{
+		Slice: 10 * sim.Microsecond,
+		Action: func() {
+			if eng.Now() >= ready {
+				found, ready = eng.Now(), sim.Forever
+			}
+		},
+		ReadyAt: func() sim.Time { return ready },
 	})
 	k.Submit(th, "seed", 1, nil) // wake it once
+	eng.At(sim.Time(500500), "ready", func() { ready = eng.Now(); k.PollReady(th) })
 	eng.RunUntil(sim.Time(1 * sim.Millisecond))
-	if polls < 90 {
+	if polls := (th.CPUTime() - 1) / (10 * sim.Microsecond); polls < 90 {
 		t.Fatalf("polls = %d, want ~100 over 1ms", polls)
+	}
+	// The first slice end at or after 500.5 µs: slices end 1 ns past
+	// each 10 µs.
+	if found != sim.Time(510001) {
+		t.Fatalf("poll found its work at %v, want 510001ns", found)
 	}
 	// The polling thread monopolizes the core.
 	if u := m.Core(0).Exec.Utilization(); u < 0.99 {
@@ -230,8 +243,9 @@ func TestIdlePollCompetesWithWork(t *testing.T) {
 	eng, _, k := newKernel(t, 1)
 	k.SetQuantum(100 * sim.Microsecond)
 	poller := k.NewThread("poller", ClassNormal, 0)
-	k.SetIdlePoll(poller, func() (sim.Duration, func()) {
-		return 100 * sim.Microsecond, nil
+	k.SetIdlePoll(poller, &Poll{
+		Slice:   100 * sim.Microsecond,
+		ReadyAt: func() sim.Time { return sim.Forever },
 	})
 	k.Submit(poller, "seed", 1, nil)
 	worker := k.NewThread("worker", ClassNormal, 0)

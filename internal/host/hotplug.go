@@ -47,6 +47,7 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 		return ErrLastCore
 	}
 
+	k.settle(cs)
 	cs.offline = true
 	k.eng.Count(cHotplugOff)
 	k.eng.Trace().Span(sim.TCEngine, "host.hotplug_offline", int32(id), HotplugCost, 0)

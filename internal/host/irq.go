@@ -57,6 +57,7 @@ func (k *Kernel) StealCPU(core hw.CoreID, cost sim.Duration, fn func()) {
 	if !ok {
 		panic(fmt.Sprintf("host: StealCPU on unmanaged core %d", core))
 	}
+	k.settle(cs)
 	exec := k.mach.Core(core).Exec
 	k.eng.Count(cIRQSteals)
 	k.eng.Trace().Span(sim.TCIRQ, "host.irq_steal", int32(core), cost, 0)

@@ -39,6 +39,13 @@ type Kernel struct {
 	// scheduled host thread touches — the interference that cools guest
 	// working sets on shared cores (§2.3).
 	hostFootprint float64
+
+	// rots are the rotating cores; next is the one whose slice ends
+	// first, the engine's chain (rotation.go). advanceFn is k.advance,
+	// bound once.
+	rots      []*coreSched
+	next      *coreSched
+	advanceFn func()
 }
 
 type coreSched struct {
@@ -58,6 +65,10 @@ type coreSched struct {
 	// hotplug is the pending end of an OfflineCore shutdown procedure.
 	hotplug sim.Event
 
+	// rot is the core's rotation of idle pollers, live while rotating.
+	rot      rotation
+	rotating bool
+
 	// sliceDoneFn and stealDoneFn are cs.sliceDone and cs.stealDone,
 	// bound once so the scheduling path allocates nothing.
 	sliceDoneFn func()
@@ -75,6 +86,7 @@ func NewKernel(mach *hw.Machine) *Kernel {
 		irqCost:       600 * sim.Nanosecond,
 		hostFootprint: 0.25,
 	}
+	k.advanceFn = k.advance
 	for _, c := range mach.Cores() {
 		k.adoptCore(c.ID())
 	}
@@ -100,18 +112,41 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 func (k *Kernel) Machine() *hw.Machine { return k.mach }
 
 // SetQuantum overrides the normal-class timeslice.
-func (k *Kernel) SetQuantum(q sim.Duration) { k.quantum = q }
+func (k *Kernel) SetQuantum(q sim.Duration) {
+	for len(k.rots) > 0 {
+		k.settle(k.rots[0])
+	}
+	k.quantum = q
+}
 
 // NewThread creates a blocked thread. pin may be hw.NoCore.
 func (k *Kernel) NewThread(name string, class Class, pin hw.CoreID) *Thread {
 	return &Thread{k: k, name: name, class: class, state: Blocked, pin: pin, core: hw.NoCore}
 }
 
-// SetIdlePoll turns t into a busy-wait server: instead of blocking when
-// out of work, it repeatedly runs poll slices. This models the
-// Quarantine-style yield-polling configuration of Fig. 6 (§4.3).
-func (k *Kernel) SetIdlePoll(t *Thread, poll func() (sim.Duration, func())) {
-	t.idlePoll = poll
+// SetIdlePoll turns t into a busy-wait server polling with p: out of
+// work, it runs p's poll slices back to back instead of blocking. This
+// models the Quarantine-style yield-polling configuration of Fig. 6
+// (§4.3). A nil p turns polling off, so t blocks once its queue drains.
+// A blocked thread starts polling at its next wake-up (a Submit). The
+// kernel keeps p, which must not change while set.
+func (k *Kernel) SetIdlePoll(t *Thread, p *Poll) {
+	if cs := t.rotCore(); cs != nil {
+		k.settle(cs)
+	}
+	t.poll, t.ready = p, 0
+}
+
+// PollReady tells the kernel that t's poll may find work sooner than
+// it last reported (Poll.ReadyAt moved earlier).
+func (k *Kernel) PollReady(t *Thread) {
+	if t.poll == nil {
+		return
+	}
+	t.ready = t.poll.ReadyAt()
+	if cs := t.rotCore(); cs != nil {
+		k.stopAt(cs, cs.rot.firstPoll(t.rotIdx, t.ready))
+	}
 }
 
 // Submit queues a work item on t, waking it if blocked. label names the
@@ -126,6 +161,8 @@ func (k *Kernel) Submit(t *Thread, label string, work sim.Duration, fn func()) {
 	t.push(workItem{label: label, work: work, fn: fn})
 	if t.state == Blocked {
 		k.wake(t)
+	} else if cs := t.rotCore(); cs != nil {
+		k.stopAt(cs, cs.rot.turnBefore(t.rotIdx))
 	}
 }
 
@@ -134,11 +171,13 @@ func (k *Kernel) Kill(t *Thread) {
 	switch t.state {
 	case Running:
 		cs := k.cores[t.core]
+		k.settle(cs)
 		k.takeCurrent(cs)
 		t.state = Dead
 		k.dispatch(cs)
 	case Runnable:
 		cs := k.cores[t.core]
+		k.settle(cs)
 		cs.fifoQ = removeThread(cs.fifoQ, t)
 		cs.normQ = removeThread(cs.normQ, t)
 		t.state = Dead
@@ -199,6 +238,7 @@ func (k *Kernel) wake(t *Thread) {
 	t.state = Runnable
 	t.core = core
 	cs := k.cores[core]
+	k.settle(cs)
 	if t.class == ClassFIFO {
 		cs.fifoQ = append(cs.fifoQ, t)
 		// FIFO wake preempts a running normal thread.
@@ -303,12 +343,15 @@ func (k *Kernel) dispatch(cs *coreSched) {
 	t.core = cs.id
 	t.switches++
 	k.eng.Count(cCtxSwitch)
-
-	dom, fp := t.domain, t.footprint
-	if dom == uarch.DomainNone {
-		dom, fp = uarch.DomainHost, k.hostFootprint
+	k.recordExecution(k.mach.Core(cs.id), t)
+	if t.fresh {
+		// A poll slice: if it and the turns after it find nothing, the
+		// core rotates instead of queueing their completions.
+		t.fresh = false
+		if k.rotate(cs, t) {
+			return
+		}
 	}
-	k.mach.Core(cs.id).RecordExecution(dom, fp, 0)
 	k.startCurrent(cs)
 	// Arm the quantum after starting the slice so that a slice completing
 	// exactly at quantum expiry counts as a completion, not a preemption.
@@ -320,6 +363,16 @@ func (k *Kernel) dispatch(cs *coreSched) {
 		cs.quantum.Defer(k.quantum)
 		cs.quantum.Commit(k.mach.Core(cs.id).Exec.End())
 	}
+}
+
+// recordExecution notes t's code running on core c: its own domain and
+// footprint, or the host's light touch for a plain host thread.
+func (k *Kernel) recordExecution(c *hw.Core, t *Thread) {
+	dom, fp := t.domain, t.footprint
+	if dom == uarch.DomainNone {
+		dom, fp = uarch.DomainHost, k.hostFootprint
+	}
+	c.RecordExecution(dom, fp, 0)
 }
 
 // startCurrent starts (or restarts after an IRQ steal) the executor slice
@@ -351,7 +404,7 @@ func (cs *coreSched) sliceDone() {
 		// Still ours: run its next item or block. A completed FIFO
 		// thread with more work continues at the queue head (it was
 		// never preempted).
-		if t.hasWork() || t.idlePoll != nil {
+		if t.hasWork() || t.poll != nil {
 			t.state = Runnable
 			if t.class == ClassFIFO {
 				cs.fifoQ = pushFront(cs.fifoQ, t)

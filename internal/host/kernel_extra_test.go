@@ -115,38 +115,66 @@ func TestFIFOPreemptRequeuesAtFront(t *testing.T) {
 // TestZeroAllocKernelCycle gates the scheduler's per-event path on warm
 // threads: Submit → dispatch → slice completion, a quantum expiry, a
 // FIFO wake that preempts a normal thread and requeues it at the front,
-// a FIFO thread continuing at the queue head, and an IPI stealing a
-// core from an idle-polling thread all allocate nothing once the
-// inboxes and run queues have reached their steady-state arrays.
+// a FIFO thread continuing at the queue head, an IPI stealing a core
+// from an idle-polling thread, and a rotation of two idle pollers broken
+// in turn by a poll becoming ready, a Submit and a StealCPU all
+// allocate nothing once the inboxes and run queues have reached their
+// steady-state arrays.
 func TestZeroAllocKernelCycle(t *testing.T) {
-	eng, m, k := newKernel(t, 2)
+	eng, m, k := newKernel(t, 3)
 	k.SetQuantum(50 * sim.Microsecond)
 	worker := k.NewThread("worker", ClassNormal, 0)
 	rt := k.NewThread("rt", ClassFIFO, 0)
 	poller := k.NewThread("poller", ClassNormal, 1)
-	var jobs, polls, irqs int
+	pa := k.NewThread("pa", ClassNormal, 2)
+	pb := k.NewThread("pb", ClassNormal, 2)
+	var jobs, polls, irqs, found int
 	job := func() { jobs++ }
-	poll := func() { polls++ }
-	k.SetIdlePoll(poller, func() (sim.Duration, func()) { return 10 * sim.Microsecond, poll })
-	k.Submit(poller, "seed", 1, nil)
+	never := func() sim.Time { return sim.Forever }
+	k.SetIdlePoll(poller, &Poll{Slice: 10 * sim.Microsecond, Action: func() { polls++ }, ReadyAt: func() sim.Time { return 0 }})
+	readyA := sim.Forever
+	k.SetIdlePoll(pa, &Poll{
+		Slice: 5 * sim.Microsecond,
+		Action: func() {
+			if eng.Now() >= readyA {
+				found++
+				readyA = sim.Forever
+			}
+		},
+		ReadyAt: func() sim.Time { return readyA },
+	})
+	k.SetIdlePoll(pb, &Poll{Slice: 5 * sim.Microsecond, ReadyAt: never})
+	for _, p := range []*Thread{poller, pa, pb} {
+		k.Submit(p, "seed", 1, nil)
+	}
 	k.RegisterIRQ(hw.IPIGuestExit, func(hw.CoreID) { irqs++ })
 	cycle := func() {
 		k.Submit(worker, "job", 80*sim.Microsecond, job)
 		k.Submit(worker, "job", 80*sim.Microsecond, job)
+		readyA = eng.Now().Add(3 * sim.Microsecond)
+		k.PollReady(pa)
 		eng.RunFor(20 * sim.Microsecond)
 		k.Submit(rt, "rt", 5*sim.Microsecond, job)
 		k.Submit(rt, "rt", 5*sim.Microsecond, job)
+		k.Submit(pb, "job", 5*sim.Microsecond, job)
 		m.SendIPI(0, 1, hw.IPIGuestExit)
-		eng.RunFor(300 * sim.Microsecond)
+		eng.RunFor(100 * sim.Microsecond)
+		k.StealCPU(2, sim.Microsecond, nil)
+		eng.RunFor(200 * sim.Microsecond)
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Errorf("kernel cycle: %.2f allocs/op in steady state, want 0", avg)
 	}
-	if jobs != 4*202 || irqs != 202 || polls == 0 {
-		t.Fatalf("jobs = %d, irqs = %d, polls = %d; want 808, 202, > 0", jobs, irqs, polls)
+	if jobs != 5*202 || irqs != 202 || polls == 0 || found != 202 {
+		t.Fatalf("jobs = %d, irqs = %d, polls = %d, found = %d; want 1010, 202, > 0, 202", jobs, irqs, polls, found)
 	}
 	if worker.ContextSwitches() < 3*202 {
 		t.Fatalf("worker switched in %d times; want the FIFO preemption and quantum requeues", worker.ContextSwitches())
+	}
+	// Core 2 spends most of each cycle rotating: its poll slices far
+	// outnumber the events the whole kernel queued.
+	if slices := pa.ContextSwitches() + pb.ContextSwitches(); slices <= eng.EventsFired() {
+		t.Fatalf("%d poll slices on core 2 against %d events fired; want the rotation to queue none", slices, eng.EventsFired())
 	}
 }

@@ -64,9 +64,23 @@ type workItem struct {
 	fn    func()
 }
 
+// Poll is a busy-wait server's idle loop (SetIdlePoll): with no work
+// queued, its thread runs Slice-long poll slices back to back and calls
+// Action at the end of each. ReadyAt reports the earliest instant from
+// which Action would find work (sim.Forever when none is pending). An
+// Action called before then must have no effect at all, and the owner
+// must call Kernel.PollReady whenever ReadyAt may have moved earlier:
+// the kernel then runs only the slices whose Action finds work, and
+// accounts the empty ones without firing them (rotation.go).
+type Poll struct {
+	Slice   sim.Duration
+	Action  func()
+	ReadyAt func() sim.Time
+}
+
 // Thread is a host kernel thread. Threads execute queued work items in
 // FIFO order and block when their queue drains (unless they have an idle
-// poll function, which models busy-wait servers).
+// poll, which models busy-wait servers).
 type Thread struct {
 	k     *Kernel
 	name  string
@@ -88,10 +102,21 @@ type Thread struct {
 	slot workItem
 	rem  sim.Duration
 
-	// idlePoll, when set, is invoked instead of blocking: it returns a
-	// slice of poll work and a function to run when the slice completes
-	// (bound once by the caller, since it is asked for on every poll).
-	idlePoll func() (sim.Duration, func())
+	// poll, when set, makes the thread a busy-wait server: out of work,
+	// it runs poll slices instead of blocking (SetIdlePoll). fresh marks
+	// a poll slice takeNext has just begun, for dispatch to consider
+	// rotating the core.
+	poll  *Poll
+	fresh bool
+	// ready is what poll.ReadyAt last reported. It is never later than
+	// the truth while it lies ahead: PollReady refreshes it, and only a
+	// poll that found work, by now, can leave it early.
+	ready sim.Time
+	// rot and rotIdx place the thread in its core's last rotation:
+	// rot.rot.order[rotIdx] (valid only while that rotation runs and
+	// holds the thread there; see coreSched.member).
+	rot    *coreSched
+	rotIdx int
 
 	cpuTime    sim.Duration
 	sliceStart sim.Time
@@ -159,6 +184,15 @@ func (t *Thread) dropWork() {
 	t.slot = workItem{}
 }
 
+// readyAt reports when t's poll next finds work, asking the poll again
+// only if the last answer has passed.
+func (t *Thread) readyAt(now sim.Time) sim.Time {
+	if t.ready <= now {
+		t.ready = t.poll.ReadyAt()
+	}
+	return t.ready
+}
+
 // takeNext loads the next work item into cur; it reports false when the
 // inbox is empty and no idle poll is configured.
 func (t *Thread) takeNext() bool {
@@ -177,11 +211,11 @@ func (t *Thread) takeNext() bool {
 		t.rem = t.slot.work
 		return true
 	}
-	if t.idlePoll != nil {
-		work, fn := t.idlePoll()
-		t.slot = workItem{label: "poll", work: work, fn: fn}
+	if p := t.poll; p != nil {
+		t.slot = workItem{label: "poll", work: p.Slice, fn: p.Action}
 		t.cur = &t.slot
-		t.rem = work
+		t.rem = p.Slice
+		t.fresh = true
 		return true
 	}
 	return false

@@ -110,6 +110,36 @@ func (x *Executor) Start(label string, work sim.Duration, speed float64, onDone 
 	x.ev = x.eng.After(sim.Duration(float64(work)/speed), "exec", x.doneFn)
 }
 
+// Hold marks the executor busy running label's context without
+// queueing a completion: its owner times the context's slices itself
+// (the host kernel's rotation of idle pollers) and hands the slice in
+// progress back with Resume. It panics if the executor is busy, as
+// Start does.
+func (x *Executor) Hold(label string) {
+	if x.running {
+		panic(fmt.Sprintf("hw: core %d executor busy with %q, cannot hold %q",
+			x.core.id, x.label, label))
+	}
+	x.running = true
+	x.label = label
+	x.busySince = x.eng.Now()
+}
+
+// Resume turns a held executor's slice in progress into an ordinary
+// running slice, exactly as if Start had begun it at start: work long at
+// full speed, its completion queued under seq, the sequence number the
+// owner reserved (sim.Engine.Reserve) when the slice began. Busy time
+// accrues across the hold as across back-to-back slices.
+func (x *Executor) Resume(start sim.Time, work sim.Duration, seq uint64, onDone func()) {
+	x.busyTotal += start.Sub(x.busySince)
+	x.busySince = start
+	x.startedAt = start
+	x.remaining = work
+	x.speed = 1
+	x.onDone = onDone
+	x.ev = x.eng.AtReserved(start.Add(work), seq, "exec", x.doneFn)
+}
+
 // End reports when the running context completes if nothing preempts
 // it; valid only while Busy.
 func (x *Executor) End() sim.Time { return x.ev.Time() }

@@ -116,16 +116,6 @@ func (m *Mailbox) TryTake() (req any, ok bool) {
 	return req, true
 }
 
-// RequestVisibleAt reports when a posted request becomes pollable
-// (Forever when none is outstanding). Servers use this to schedule their
-// pickup without simulating every poll iteration.
-func (m *Mailbox) RequestVisibleAt() sim.Time {
-	if m.state != Requested {
-		return sim.Forever
-	}
-	return m.reqVisibleAt
-}
-
 // Complete posts the response; it becomes visible to the client after
 // propDelay.
 func (m *Mailbox) Complete(resp any, propDelay sim.Duration) {
@@ -153,7 +143,8 @@ func (m *Mailbox) TryResponse() (resp any, ok bool) {
 }
 
 // ResponseVisibleAt reports when the posted response becomes pollable
-// (Forever when none).
+// (Forever when none): a busy-waiting client's poll (TryResponse) finds
+// nothing before then.
 func (m *Mailbox) ResponseVisibleAt() sim.Time {
 	if m.state != Done {
 		return sim.Forever

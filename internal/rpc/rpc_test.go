@@ -45,18 +45,25 @@ func TestMailboxHappyPath(t *testing.T) {
 func TestMailboxVisibility(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewMailbox(eng, "x")
-	if m.RequestVisibleAt() != sim.Forever || m.ResponseVisibleAt() != sim.Forever {
+	if m.ResponseVisibleAt() != sim.Forever {
 		t.Fatal("idle visibility not Forever")
 	}
 	m.Post(1, 100)
-	if m.RequestVisibleAt() != 100 {
-		t.Fatalf("req visible at %v", m.RequestVisibleAt())
+	if _, ok := m.TryTake(); ok {
+		t.Fatal("request taken before it became visible")
+	}
+	if m.ResponseVisibleAt() != sim.Forever {
+		t.Fatal("requested mailbox reports a response")
 	}
 	eng.RunUntil(100)
 	m.TryTake()
 	m.Complete(2, 50)
 	if m.ResponseVisibleAt() != 150 {
 		t.Fatalf("resp visible at %v", m.ResponseVisibleAt())
+	}
+	m.TryResponse() // not yet visible: no effect
+	if m.ResponseVisibleAt() != 150 {
+		t.Fatalf("early poll consumed the response")
 	}
 }
 

@@ -57,6 +57,14 @@ func (t *Timer) Defer(d Duration) {
 	t.deferred, t.at, t.seq = true, t.eng.now.Add(max(d, 0)), t.eng.seq
 }
 
+// DeferReserved leaves the timer deferred to expire at at under seq, a
+// number Engine.Reserve took: the state Defer would have left had it run
+// when seq was reserved. Any previously pending expiry is cancelled.
+func (t *Timer) DeferReserved(at Time, seq uint64) {
+	t.Disarm()
+	t.deferred, t.at, t.seq = true, at, seq
+}
+
 // Commit queues a deferred expiry that falls at or before until, under
 // the sequence number Defer reserved. A later one stays deferred; the
 // owner must Commit again before until passes.

@@ -116,7 +116,13 @@ type Engine struct {
 	seed    uint64
 	sources map[string]*Source
 
-	fired uint64 // events executed so far
+	fired uint64 // queued events executed so far
+
+	// The chain: one owner's run of events that never enter the queue
+	// (see SetChain). chainAt is Forever when none is set.
+	chainAt  Time
+	chainSeq uint64
+	chainFn  func()
 
 	// Observability: nil tracer / empty bank when disabled, so the
 	// scheduling hot path pays one branch each. See tracer.go and
@@ -128,7 +134,7 @@ type Engine struct {
 // NewEngine returns an engine whose clock starts at zero and whose random
 // sources derive from seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{seed: seed, sources: make(map[string]*Source)}
+	return &Engine{seed: seed, sources: make(map[string]*Source), chainAt: Forever}
 }
 
 // Reset rewinds the engine to its just-constructed state for a new seed
@@ -152,6 +158,7 @@ func (e *Engine) Reset(seed uint64) {
 	e.seq = 0
 	e.seed = seed
 	e.fired = 0
+	e.chainAt, e.chainSeq, e.chainFn = Forever, 0, nil
 	e.trc = nil
 	clear(e.counts)
 	for name, s := range e.sources {
@@ -165,8 +172,62 @@ func (e *Engine) Now() Time { return e.now }
 // Seed reports the root seed the engine was constructed with.
 func (e *Engine) Seed() uint64 { return e.seed }
 
-// EventsFired reports how many events have executed so far.
+// EventsFired reports how many queued events have executed so far;
+// chain events (SetChain) are not counted.
 func (e *Engine) EventsFired() uint64 { return e.fired }
+
+// Reserve takes the next sequence number without queueing anything, as
+// Timer.Defer does. An owner that fires some of its events without
+// queueing them (SetChain) reserves the numbers those events would have
+// taken, so that everything else is numbered exactly as if they had been
+// queued; AtReserved later queues an event under a reserved number.
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// AtReserved schedules fn at t under seq, a number Reserve took
+// earlier: the event fires among those at t exactly where one queued at
+// the time of the reservation would have. label and fn follow At's
+// rules.
+func (e *Engine) AtReserved(t Time, seq uint64, label string, fn func()) Event {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, e.now))
+	}
+	return e.queue(t, seq, label, fn)
+}
+
+// SetChain declares the next event of the engine's chain: fn fires at
+// (at, seq) in the (time, sequence) order of the queue, seq being a
+// number Reserve took, but without entering the queue. fn must declare
+// the chain's next event in turn, or end the chain with at = Forever.
+//
+// A chain is a long run of events whose effects the owner can apply
+// more cheaply than a queue round trip each (the host kernel's idle
+// poll slices): each fires at its exact place among the queued events,
+// so ties at one instant resolve as if it had been queued. There is one
+// chain per engine. Chain events are not counted by EventsFired.
+func (e *Engine) SetChain(at Time, seq uint64, fn func()) {
+	e.chainAt, e.chainSeq, e.chainFn = at, seq, fn
+}
+
+// chainDue reports whether the chain's next event precedes next (nil:
+// the queue is empty). The caller has checked that a chain is set.
+func (e *Engine) chainDue(next *event) bool {
+	return next == nil || e.chainAt < next.at || (e.chainAt == next.at && e.chainSeq < next.seq)
+}
+
+// chainBy reports whether the chain's next event is due by t and
+// precedes next.
+func (e *Engine) chainBy(t Time, next *event) bool {
+	return e.chainAt <= t && e.chainAt != Forever && e.chainDue(next)
+}
+
+// fireChain fires the chain's next event.
+func (e *Engine) fireChain() {
+	e.now = e.chainAt
+	e.chainFn()
+}
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a modelling bug.
@@ -225,13 +286,23 @@ func (e *Engine) Cancel(ev Event) {
 	e.recycle(n)
 }
 
-// Step executes the single next event, advancing the clock. It reports
-// false when no events remain.
+// Step executes the single next event, chained or queued, advancing the
+// clock. It reports false when no events remain.
 func (e *Engine) Step() bool {
+	if e.chainAt != Forever && e.chainDue(e.q.peek()) {
+		e.fireChain()
+		return true
+	}
 	ev := e.q.pop()
 	if ev == nil {
 		return false
 	}
+	e.fire(ev)
+	return true
+}
+
+// fire executes ev, just popped from the queue.
+func (e *Engine) fire(ev *event) {
 	if ev.at < e.now {
 		panic("sim: event queue corrupted (time went backwards)")
 	}
@@ -247,7 +318,6 @@ func (e *Engine) Step() bool {
 	// the fired event's own handle.
 	e.recycle(ev)
 	fn()
-	return true
 }
 
 // Run executes events until the queue is empty.
@@ -261,6 +331,10 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	for {
 		m := e.q.peek()
+		if e.chainBy(t, m) {
+			e.fireChain()
+			continue
+		}
 		if m == nil || m.at > t {
 			break
 		}
@@ -274,17 +348,40 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor advances the clock by d. See RunUntil.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
+// StepUntil executes the next queued event if it is due by t, first
+// firing the chain events ordered before it, and reports true. It
+// reports false, having fired only chain events, when no queued event is
+// due by t or a chain event brings the clock to t: stepping one event
+// at a time while the clock is before t stops at the same point.
+func (e *Engine) StepUntil(t Time) bool {
+	for {
+		m := e.q.peek()
+		if e.chainBy(t, m) {
+			e.fireChain()
+			if e.now >= t {
+				return false
+			}
+			continue
+		}
+		if m == nil || m.at > t {
+			return false
+		}
+		e.fire(e.q.pop())
+		return true
+	}
+}
+
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.q.h) }
 
-// NextEventTime reports the timestamp of the earliest queued event, or
-// Forever when the queue is empty.
+// NextEventTime reports the timestamp of the earliest event, chained or
+// queued, or Forever when there is none.
 func (e *Engine) NextEventTime() Time {
-	m := e.q.peek()
-	if m == nil {
-		return Forever
+	at := e.chainAt
+	if m := e.q.peek(); m != nil && m.at < at {
+		at = m.at
 	}
-	return m.at
+	return at
 }
 
 // Source returns a named deterministic random source. The same (seed, name)
