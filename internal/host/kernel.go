@@ -45,7 +45,7 @@ type Kernel struct {
 	// bound once.
 	rots      []*coreSched
 	next      *coreSched
-	advanceFn func()
+	advanceFn func(until sim.Time, untilSeq uint64) sim.Time
 }
 
 type coreSched struct {
@@ -343,7 +343,8 @@ func (k *Kernel) dispatch(cs *coreSched) {
 	t.core = cs.id
 	t.switches++
 	k.eng.Count(cCtxSwitch)
-	k.recordExecution(k.mach.Core(cs.id), t)
+	dom, fp := k.execOf(t)
+	k.mach.Core(cs.id).RecordExecution(dom, fp, 0)
 	if t.fresh {
 		// A poll slice: if it and the turns after it find nothing, the
 		// core rotates instead of queueing their completions.
@@ -365,14 +366,14 @@ func (k *Kernel) dispatch(cs *coreSched) {
 	}
 }
 
-// recordExecution notes t's code running on core c: its own domain and
-// footprint, or the host's light touch for a plain host thread.
-func (k *Kernel) recordExecution(c *hw.Core, t *Thread) {
-	dom, fp := t.domain, t.footprint
-	if dom == uarch.DomainNone {
-		dom, fp = uarch.DomainHost, k.hostFootprint
+// execOf reports whose code t runs and its per-core footprint, for
+// RecordExecution: its own domain, or the host's light touch for a
+// plain host thread.
+func (k *Kernel) execOf(t *Thread) (uarch.DomainID, float64) {
+	if t.domain == uarch.DomainNone {
+		return uarch.DomainHost, k.hostFootprint
 	}
-	c.RecordExecution(dom, fp, 0)
+	return t.domain, t.footprint
 }
 
 // startCurrent starts (or restarts after an IRQ steal) the executor slice
@@ -392,13 +393,18 @@ func (cs *coreSched) sliceDone() {
 	t := cs.cur
 	t.cpuTime += k.eng.Now().Sub(t.sliceStart)
 	cs.quantum.Disarm()
-	fn := t.cur.fn
+	fn, polled := t.cur.fn, t.cur.label == pollLabel
 	t.cur = nil
 	t.rem = 0
 	cs.cur = nil
 	// Completion callback may submit more work, wake threads, etc.
 	if fn != nil {
 		fn()
+	}
+	if polled && t.poll != nil {
+		// The poll may have taken its work: ask when it next finds some
+		// while its state is at hand.
+		t.ready = t.poll.ReadyAt()
 	}
 	if t.state == Running {
 		// Still ours: run its next item or block. A completed FIFO

@@ -5,6 +5,7 @@ import (
 
 	"coregap/internal/hw"
 	"coregap/internal/sim"
+	"coregap/internal/uarch"
 )
 
 // A rotation is a core whose runnable threads take turns at poll slices
@@ -109,7 +110,7 @@ func (k *Kernel) rotate(cs *coreSched, t *Thread) bool {
 	}
 	t.sliceStart = now
 	r.core = k.mach.Core(cs.id)
-	r.core.Exec.Hold("poll")
+	r.core.Exec.Hold(pollLabel)
 	// The numbers Exec.Start and the quantum's Defer would have taken.
 	r.seq = k.eng.Reserve()
 	k.eng.Reserve()
@@ -183,34 +184,61 @@ func (k *Kernel) stopAt(cs *coreSched, j uint64) {
 	}
 }
 
-// advance fires the chain's event: the end of the slice in progress on
-// the rotating core whose slice ends first. It does what sliceDone and
-// dispatch would for an empty poll: charge the slice, switch in the next
-// thread and record its execution, and reserve the next slice's numbers.
-func (k *Kernel) advance() {
-	cs := k.next
-	r := &cs.rot
-	prev := r.order[r.pos]
-	prev.cpuTime += r.end.Sub(r.start)
-	prev.cur, prev.rem, prev.state = nil, 0, Runnable
-	r.n++
-	if r.pos++; r.pos == len(r.order) {
-		r.pos = 0
+// advance fires the chain: the slice ends due on the rotating cores, in
+// (time, sequence) order, while they precede (until, untilSeq) and no
+// rotation stops. For each it does what sliceDone and dispatch would for
+// an empty poll: charge the slice, switch in the next thread, record its
+// execution and reserve the next slice's numbers. Runs of identical
+// executions on one core are recorded in one call. It reports when the
+// last slice it fired ended.
+func (k *Kernel) advance(until sim.Time, untilSeq uint64) sim.Time {
+	var (
+		last sim.Time
+		// n executions of dom with footprint fp on core, not yet recorded
+		core *hw.Core
+		dom  uarch.DomainID
+		fp   float64
+		n    int
+	)
+	for {
+		cs := k.next
+		r := &cs.rot
+		last = r.end
+		prev := r.order[r.pos]
+		prev.cpuTime += r.end.Sub(r.start)
+		prev.cur, prev.rem, prev.state = nil, 0, Runnable
+		r.n++
+		if r.pos++; r.pos == len(r.order) {
+			r.pos = 0
+		}
+		t := r.order[r.pos]
+		cs.cur = t
+		t.state = Running
+		t.switches++
+		k.eng.Count(cCtxSwitch)
+		if d, f := k.execOf(t); r.core != core || d != dom || f != fp {
+			if n > 0 {
+				core.RecordExecutions(dom, fp, 0, n)
+			}
+			core, dom, fp, n = r.core, d, f, 0
+		}
+		n++
+		r.start, r.end = r.end, r.end.Add(t.poll.Slice)
+		r.seq = k.eng.Reserve()
+		k.eng.Reserve()
+		if r.n == r.stop {
+			core.RecordExecutions(dom, fp, 0, n)
+			k.endRotation(cs)
+			return last
+		}
+		k.pickNext()
+		if nx := &k.next.rot; nx.end > until || (nx.end == until && nx.seq > untilSeq) {
+			break
+		}
 	}
-	t := r.order[r.pos]
-	cs.cur = t
-	t.state = Running
-	t.switches++
-	k.eng.Count(cCtxSwitch)
-	k.recordExecution(r.core, t)
-	r.start, r.end = r.end, r.end.Add(t.poll.Slice)
-	r.seq = k.eng.Reserve()
-	k.eng.Reserve()
-	if r.n == r.stop {
-		k.endRotation(cs)
-		return
-	}
+	core.RecordExecutions(dom, fp, 0, n)
 	k.updateChain()
+	return last
 }
 
 // settle ends cs's rotation, if it has one.
@@ -232,7 +260,7 @@ func (k *Kernel) endRotation(cs *coreSched) {
 	rest := copy(cs.normQ, cs.normQ[r.pos:])
 	copy(cs.normQ[rest:], r.order[:r.pos])
 	slice := r.end.Sub(r.start)
-	t.slot = workItem{label: "poll", work: slice, fn: t.poll.Action}
+	t.slot = workItem{label: pollLabel, work: slice, fn: t.poll.Action}
 	t.cur, t.rem, t.sliceStart = &t.slot, slice, r.start
 	r.core.Exec.Resume(r.start, slice, r.seq, cs.sliceDoneFn)
 	cs.quantum.DeferReserved(r.start.Add(k.quantum), r.seq+1)
@@ -246,14 +274,9 @@ func (k *Kernel) endRotation(cs *coreSched) {
 	k.updateChain()
 }
 
-// updateChain points the engine's chain at the rotating core whose slice
-// ends first, or ends the chain when no core rotates.
-func (k *Kernel) updateChain() {
-	if len(k.rots) == 1 {
-		k.next = k.rots[0]
-		k.eng.SetChain(k.next.rot.end, k.next.rot.seq, k.advanceFn)
-		return
-	}
+// pickNext points k.next at the rotating core whose slice ends first
+// (nil when none rotates).
+func (k *Kernel) pickNext() {
 	k.next = nil
 	for _, cs := range k.rots {
 		if n := k.next; n == nil || cs.rot.end < n.rot.end ||
@@ -261,6 +284,12 @@ func (k *Kernel) updateChain() {
 			k.next = cs
 		}
 	}
+}
+
+// updateChain points the engine's chain at the rotating core whose slice
+// ends first, or ends the chain when no core rotates.
+func (k *Kernel) updateChain() {
+	k.pickNext()
 	if k.next == nil {
 		k.eng.SetChain(sim.Forever, 0, nil)
 		return

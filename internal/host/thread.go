@@ -78,6 +78,9 @@ type Poll struct {
 	ReadyAt func() sim.Time
 }
 
+// pollLabel labels a poll slice's work item.
+const pollLabel = "poll"
+
 // Thread is a host kernel thread. Threads execute queued work items in
 // FIFO order and block when their queue drains (unless they have an idle
 // poll, which models busy-wait servers).
@@ -108,9 +111,9 @@ type Thread struct {
 	// rotating the core.
 	poll  *Poll
 	fresh bool
-	// ready is what poll.ReadyAt last reported. It is never later than
-	// the truth while it lies ahead: PollReady refreshes it, and only a
-	// poll that found work, by now, can leave it early.
+	// ready is what poll.ReadyAt last reported: PollReady and every
+	// completed poll slice refresh it. It is never later than the truth
+	// while it lies ahead.
 	ready sim.Time
 	// rot and rotIdx place the thread in its core's last rotation:
 	// rot.rot.order[rotIdx] (valid only while that rotation runs and
@@ -212,7 +215,7 @@ func (t *Thread) takeNext() bool {
 		return true
 	}
 	if p := t.poll; p != nil {
-		t.slot = workItem{label: "poll", work: p.Slice, fn: p.Action}
+		t.slot = workItem{label: pollLabel, work: p.Slice, fn: p.Action}
 		t.cur = &t.slot
 		t.rem = p.Slice
 		t.fresh = true

@@ -224,6 +224,25 @@ func (c *Core) RecordExecution(d uarch.DomainID, footprint, secretFrac float64) 
 	c.runs = append(c.runs, DomainRun{Domain: d, First: n, Last: n})
 }
 
+// RecordExecutions is n RecordExecution calls in a row with the same
+// arguments, at the cost of one.
+func (c *Core) RecordExecutions(d uarch.DomainID, footprint, secretFrac float64, n int) {
+	if n <= 0 {
+		return
+	}
+	c.curDomain = d
+	c.Uarch.TouchN(d, footprint, secretFrac, c.mach.tagSrc, n)
+	first := c.execs
+	c.execs += uint64(n)
+	for i := range c.runs {
+		if c.runs[i].Domain == d {
+			c.runs[i].Last = c.execs - 1
+			return
+		}
+	}
+	c.runs = append(c.runs, DomainRun{Domain: d, First: first, Last: c.execs - 1})
+}
+
 // DomainsObserved reports every domain that ever executed on the core,
 // in first-seen order, with the span of its executions. Tests use this
 // to verify the core-gapping invariant: a dedicated core sees only

@@ -17,18 +17,32 @@ func chainHarness(chained bool) (order []string, fired uint64, now Time) {
 	var at Time
 	var seq uint64
 	var tick func()
+	// chainTick fires the chain's ticks that come before the bound,
+	// first the one due.
+	chainTick := func(until Time, untilSeq uint64) Time {
+		last := e.Now()
+		for {
+			last = at
+			tick()
+			if at == Forever || at > until || (at == until && seq > untilSeq) {
+				return last
+			}
+		}
+	}
 	tick = func() {
-		order = append(order, fmt.Sprintf("tick%d@%v", n, e.Now()))
+		order = append(order, fmt.Sprintf("tick%d@%v", n, at))
 		if n++; n == ticks {
 			if chained {
+				at = Forever
 				e.SetChain(Forever, 0, nil)
 			}
 			return
 		}
 		if chained {
-			at, seq = e.Now().Add(period), e.Reserve()
-			e.SetChain(at, seq, tick)
+			at, seq = at.Add(period), e.Reserve()
+			e.SetChain(at, seq, chainTick)
 		} else {
+			at = e.Now().Add(period)
 			e.After(period, "tick", tick)
 		}
 	}
@@ -98,10 +112,12 @@ func TestAtReservedKeepsReservedPlace(t *testing.T) {
 func TestStepUntilChain(t *testing.T) {
 	e := NewEngine(1)
 	var got []Time
-	var tick func()
-	tick = func() {
-		got = append(got, e.Now())
-		e.SetChain(e.Now().Add(10), e.Reserve(), tick)
+	var tick func(Time, uint64) Time
+	tick = func(Time, uint64) Time {
+		now := e.Now()
+		got = append(got, now)
+		e.SetChain(now.Add(10), e.Reserve(), tick)
+		return now
 	}
 	e.SetChain(10, e.Reserve(), tick)
 	e.At(25, "q", func() { got = append(got, -e.Now()) })

@@ -122,7 +122,7 @@ type Engine struct {
 	// (see SetChain). chainAt is Forever when none is set.
 	chainAt  Time
 	chainSeq uint64
-	chainFn  func()
+	chainFn  func(until Time, untilSeq uint64) Time
 
 	// Observability: nil tracer / empty bank when disabled, so the
 	// scheduling hot path pays one branch each. See tracer.go and
@@ -197,17 +197,22 @@ func (e *Engine) AtReserved(t Time, seq uint64, label string, fn func()) Event {
 	return e.queue(t, seq, label, fn)
 }
 
-// SetChain declares the next event of the engine's chain: fn fires at
+// SetChain declares the next event of the engine's chain: an event at
 // (at, seq) in the (time, sequence) order of the queue, seq being a
-// number Reserve took, but without entering the queue. fn must declare
-// the chain's next event in turn, or end the chain with at = Forever.
+// number Reserve took, that never enters the queue. When it comes due,
+// the engine calls fn(until, untilSeq) with the clock at at: fn fires
+// it, and may go on to fire the chain's later events that still precede
+// (until, untilSeq), the next queued event or the limit of the run. It
+// reports the time of the last one it fired, and declares the chain's
+// next event in turn, or ends the chain with at = Forever.
 //
 // A chain is a long run of events whose effects the owner can apply
-// more cheaply than a queue round trip each (the host kernel's idle
-// poll slices): each fires at its exact place among the queued events,
-// so ties at one instant resolve as if it had been queued. There is one
-// chain per engine. Chain events are not counted by EventsFired.
-func (e *Engine) SetChain(at Time, seq uint64, fn func()) {
+// more cheaply than a queue round trip each, and in batches (the host
+// kernel's idle poll slices): each fires at its exact place among the
+// queued events, so ties at one instant resolve as if it had been
+// queued. There is one chain per engine. Chain events are not counted
+// by EventsFired.
+func (e *Engine) SetChain(at Time, seq uint64, fn func(until Time, untilSeq uint64) Time) {
 	e.chainAt, e.chainSeq, e.chainFn = at, seq, fn
 }
 
@@ -223,10 +228,14 @@ func (e *Engine) chainBy(t Time, next *event) bool {
 	return e.chainAt <= t && e.chainAt != Forever && e.chainDue(next)
 }
 
-// fireChain fires the chain's next event.
-func (e *Engine) fireChain() {
+// fireChain fires the chain's events that precede both next (nil: none)
+// and (t, tSeq).
+func (e *Engine) fireChain(next *event, t Time, tSeq uint64) {
+	if next != nil && (next.at < t || (next.at == t && next.seq < tSeq)) {
+		t, tSeq = next.at, next.seq
+	}
 	e.now = e.chainAt
-	e.chainFn()
+	e.now = e.chainFn(t, tSeq)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -286,12 +295,14 @@ func (e *Engine) Cancel(ev Event) {
 	e.recycle(n)
 }
 
-// Step executes the single next event, chained or queued, advancing the
-// clock. It reports false when no events remain.
+// Step executes the next queued event, or the chain events before it,
+// advancing the clock. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	if e.chainAt != Forever && e.chainDue(e.q.peek()) {
-		e.fireChain()
-		return true
+	if e.chainAt != Forever {
+		if m := e.q.peek(); e.chainDue(m) {
+			e.fireChain(m, Forever, math.MaxUint64)
+			return true
+		}
 	}
 	ev := e.q.pop()
 	if ev == nil {
@@ -332,13 +343,13 @@ func (e *Engine) RunUntil(t Time) {
 	for {
 		m := e.q.peek()
 		if e.chainBy(t, m) {
-			e.fireChain()
+			e.fireChain(m, t, math.MaxUint64)
 			continue
 		}
 		if m == nil || m.at > t {
 			break
 		}
-		e.Step()
+		e.fire(e.q.pop())
 	}
 	if e.now < t {
 		e.now = t
@@ -357,7 +368,12 @@ func (e *Engine) StepUntil(t Time) bool {
 	for {
 		m := e.q.peek()
 		if e.chainBy(t, m) {
-			e.fireChain()
+			// Chain events before t, or the first one at t.
+			if e.chainAt < t {
+				e.fireChain(m, t, 0)
+			} else {
+				e.fireChain(m, t, e.chainSeq+1)
+			}
 			if e.now >= t {
 				return false
 			}

@@ -119,6 +119,24 @@ func (l *fillLog) push(f fill, fp float64) (entries int) {
 	return sh.total
 }
 
+// pushN appends n fills f of footprint fp as n pushes in a row would,
+// each drawsPer draws per entry past the one before, and reports the
+// entries one batch writes.
+func (l *fillLog) pushN(f fill, fp float64, n int, drawsPer uint64) (entries int) {
+	f.shape = l.shapeOf(fp)
+	sh := &l.shapes[f.shape]
+	sh.pushed += uint64(n)
+	step := drawsPer * uint64(sh.total)
+	for i := 0; i < n; i++ {
+		if len(l.fills) == cap(l.fills) {
+			l.compact()
+		}
+		l.fills = append(l.fills, f)
+		f.lag += step
+	}
+	return sh.total
+}
+
 // compact makes room for one more record. It drops the records that
 // every buffer has overwritten (deadPrefix) without asking any buffer:
 // in place when at least half the log is dead, so the copies amortize to

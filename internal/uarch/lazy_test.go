@@ -1,7 +1,9 @@
 package uarch
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -480,3 +482,43 @@ func BenchmarkTouchResidue(b *testing.B) {
 }
 
 var sink int
+
+// TestTouchNMatchesTouches: TouchN(n) leaves every per-core structure,
+// the domain-switch count and the tag stream exactly as n Touch calls
+// in a row, across random runs of footprints (some repeated many times
+// so the log compacts mid-batch), secret fractions and reads.
+func TestTouchNMatchesTouches(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	batched, single := NewCoreState(), NewCoreState()
+	bsrc, ssrc := sim.NewSource(9), sim.NewSource(9)
+	fps := []float64{0.25, 0.01, 0.7, 1.5, 0, 0.25}
+	for i := 0; i < 400; i++ {
+		d := Guest(rng.Intn(3))
+		if rng.Intn(3) == 0 {
+			d = DomainHost
+		}
+		fp := fps[rng.Intn(len(fps))]
+		frac := float64(rng.Intn(2)) * 0.4
+		n := rng.Intn(12)
+		batched.TouchN(d, fp, frac, bsrc, n)
+		for j := 0; j < n; j++ {
+			single.Touch(d, fp, frac, ssrc)
+		}
+		if rng.Intn(20) == 0 {
+			for _, k := range PerCoreKinds() {
+				sameEntries(t, fmt.Sprintf("step %d %v", i, k),
+					batched.Buffer(k).Residue(Guest(99)), single.Buffer(k).Residue(Guest(99)))
+			}
+		}
+	}
+	for _, k := range PerCoreKinds() {
+		sameEntries(t, k.String(), batched.Buffer(k).Residue(Guest(99)), single.Buffer(k).Residue(Guest(99)))
+	}
+	if batched.DomainSwitches() != single.DomainSwitches() || batched.LastDomain() != single.LastDomain() {
+		t.Fatalf("domain switches %d/%v, want %d/%v", batched.DomainSwitches(), batched.LastDomain(),
+			single.DomainSwitches(), single.LastDomain())
+	}
+	if b, s := bsrc.Uint64(), ssrc.Uint64(); b != s {
+		t.Fatalf("tag stream diverged: next draw %x, want %x", b, s)
+	}
+}

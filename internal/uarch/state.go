@@ -116,6 +116,28 @@ func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *si
 	tagSrc.Skip(drawsPer * uint64(n))
 }
 
+// TouchN is n Touch calls in a row with the same arguments: it leaves
+// the structures and the tag stream exactly as they would, paying for
+// one footprint lookup instead of n.
+func (cs *CoreState) TouchN(d DomainID, footprint, secretFrac float64, tagSrc *sim.Source, n int) {
+	if n <= 0 {
+		return
+	}
+	cs.Touch(d, footprint, secretFrac, tagSrc)
+	if n--; n == 0 || footprint <= 0 {
+		return
+	}
+	anchor, lag := tagSrc.Mark()
+	drawsPer := uint64(1)
+	frac := -1.0
+	if secretFrac > 0 {
+		drawsPer = 2
+		frac = secretFrac
+	}
+	entries := cs.log.pushN(fill{anchor: anchor, lag: lag, frac: frac, domain: d}, min(footprint, 1), n, drawsPer)
+	tagSrc.Skip(drawsPer * uint64(entries) * uint64(n))
+}
+
 // Warmth reports the fraction of per-core cache/TLB/predictor capacity
 // currently holding d's entries, weighted toward the structures that
 // dominate restart cost (L1, L2, TLBs). 1.0 means fully warm.
