@@ -115,9 +115,9 @@ type Thread struct {
 	// completed poll slice refresh it. It is never later than the truth
 	// while it lies ahead.
 	ready sim.Time
-	// rot and rotIdx place the thread in its core's last rotation:
-	// rot.rot.order[rotIdx] (valid only while that rotation runs and
-	// holds the thread there; see coreSched.member).
+	// rot and rotIdx place the thread in the last rotation it joined:
+	// rot.rot.order[rotIdx], valid only while that rotation runs and
+	// still holds the thread there (rotCore).
 	rot    *coreSched
 	rotIdx int
 
