@@ -4,11 +4,16 @@
 # traced-run smoke (Chrome trace export), a plain test run (the one run
 # of the allocation gates without the race detector: TestZeroAlloc*,
 # among them the granule table's TestZeroAllocUntouchedReads and
-# TestZeroAllocDelegateResident and hw's TestZeroAllocRecordExecution,
-# plus TestTrialAllocs and TestSteadyStateTrialAllocs), one iteration of
-# every Go benchmark (so none rots unseen),
-# an end-to-end determinism check (serial CSV output == 8-way parallel
-# CSV output) and the committed benchmark artifact digests.
+# TestZeroAllocDelegateResident, hw's TestZeroAllocRecordExecution and
+# host's TestZeroAllocKernelCycle with its rotating pollers, plus
+# TestTrialAllocs and TestSteadyStateTrialAllocs; the same run checks
+# every experiment's seed-42 CSVs and counter banks against
+# internal/exp/testdata/digests.txt, TestArtifactDigests, and the host
+# core rotation against its per-slice reference,
+# TestRotationMatchesPerSlice), one iteration of every Go benchmark (so
+# none rots unseen), an end-to-end determinism check (serial CSV output
+# == 8-way parallel CSV output) and the committed benchmark artifact
+# digests.
 # Host cost is measured by bench/run.sh.
 
 GO ?= go

@@ -331,7 +331,8 @@ func (e *Engine) fire(ev *event) {
 	fn()
 }
 
-// Run executes events until the queue is empty.
+// Run executes events until the queue is empty. A chain that never ends
+// runs on, as a self-rearming queued event would.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
