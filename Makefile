@@ -12,8 +12,10 @@
 # core rotation against its per-slice reference,
 # TestRotationMatchesPerSlice), one iteration of every Go benchmark (so
 # none rots unseen), an end-to-end determinism check (serial CSV output
-# == 8-way parallel CSV output) and the committed benchmark artifact
-# digests.
+# == 8-way parallel CSV output), the committed benchmark artifact
+# digests, and the dead-code gate (unreachable: every internal/ function
+# no binary reaches is listed, with a reason, in
+# scripts/unreachable/allow.txt, and every listed one is still dead).
 # Host cost is measured by bench/run.sh.
 
 GO ?= go
@@ -22,7 +24,7 @@ GO ?= go
 
 all: check
 
-check: fmt vet build race-fast race smoke trace-smoke test bench-once determinism digests
+check: fmt vet build race-fast race smoke trace-smoke test bench-once determinism digests unreachable
 
 # Every Go file must be gofmt-clean; the offenders are listed on failure.
 fmt:
@@ -99,9 +101,10 @@ profile:
 	$(GO) run ./cmd/benchsuite -exp fig6 -parallel 1 -cpuprofile cpu.pprof -memprofile mem.pprof >/dev/null
 	@echo "profile: wrote cpu.pprof and mem.pprof (go tool pprof cpu.pprof)"
 
-# Report-only: every non-test func under internal/ that no binary
-# (cmd/*, examples/*, bench) links, with its line count. Never fails on
-# what it finds; new dead code shows up here in review.
+# Every non-test func under internal/ that no binary (cmd/*, examples/*,
+# bench) links, with its line count and allowlist reason. Fails on one
+# missing from scripts/unreachable/allow.txt, and on a listed one that is
+# now reached or gone: delete new dead code, or list it with a reason.
 unreachable:
 	$(GO) run ./scripts/unreachable
 

@@ -170,9 +170,6 @@ func (v *VCPU) bind(fn func(vcpuCall), c vcpuCall) func() {
 	return v.vm.node.calls.Bind(fn, c)
 }
 
-// Index reports the vCPU index.
-func (v *VCPU) Index() int { return v.idx }
-
 // Halted reports whether the vCPU has finished its program.
 func (v *VCPU) Halted() bool { return v.halted }
 

@@ -57,8 +57,8 @@ func TestTable2TracedTrials(t *testing.T) {
 			t.Fatalf("%s: %v", spec.ID, err)
 		}
 		var buf bytes.Buffer
-		if err := obs.ChromeTrace(&buf, "table2 "+spec.ID, trial.TraceEvents); err != nil {
-			t.Fatalf("%s: ChromeTrace: %v", spec.ID, err)
+		if err := obs.ChromeTraceWithCounters(&buf, "table2 "+spec.ID, trial.TraceEvents, nil); err != nil {
+			t.Fatalf("%s: ChromeTraceWithCounters: %v", spec.ID, err)
 		}
 		n, err := obs.ValidateChrome(buf.Bytes())
 		if err != nil {

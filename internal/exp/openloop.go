@@ -168,85 +168,60 @@ type seriesAgg struct {
 	maxX        float64
 }
 
-// openLoopStream folds the sweep into the SLO story one trial at a
-// time: worst-window p99 versus offered load, goodput versus offered
-// load, the full per-window timeline at the highest offered rate, and
-// headline lines naming each configuration's highest SLO-compliant rate
-// and collapse onset. All tail statistics come from Trial.Windows — the
-// whole point of the windowed pipeline is that the reducer can ask
-// per-window questions the whole-run histogram cannot answer — and each
-// trial's windows are folded into the figures and the window log the
-// moment the trial is consumed, so the runner can release them and a
-// long sweep's peak memory stays one trial deep. reduceOpenLoop runs
-// the same code over a buffered list, so the streamed and batch reports
-// are identical by construction.
-type openLoopStream struct {
-	stem    string
-	metWin  sim.Duration
-	peakX   float64 // highest offered rate in the sweep, known from the specs
-	figP99  *trace.Figure
-	figGood *trace.Figure
-	wlog    *trace.WindowLog
-	aggs    map[string]*seriesAgg
-	order   []string // series in first-seen (spec) order
-}
-
-func newOpenLoopStream(stem string, metWin sim.Duration, peakX float64) *openLoopStream {
-	return &openLoopStream{
-		stem:   stem,
-		metWin: metWin,
-		peakX:  peakX,
-		figP99: trace.NewFigure("Open loop", "Worst steady-state window p99 vs offered load",
-			"offered krps", "worst-window p99 ms"),
-		figGood: trace.NewFigure("Open loop", "Goodput vs offered load",
-			"offered krps", "goodput krps"),
-		wlog: trace.NewWindowLog(stem+"-windows", "Per-window latency timeline at peak offered load", metWin),
-		aggs: map[string]*seriesAgg{},
-	}
-}
-
-// Consume folds one trial. Trials arrive in spec order, so the series
-// first-seen order and every figure's point order match the batch fold.
-func (o *openLoopStream) Consume(t Trial) {
-	s := t.Spec.Series
-	a, ok := o.aggs[s]
-	if !ok {
-		a = &seriesAgg{sloMax: -1, collapseAt: -1}
-		o.aggs[s] = a
-		o.order = append(o.order, s)
-	}
-	wins := measureWindows(t)
-	worstP99, sloOK := worstWindowP99(wins, t.Dur("lat.p99.ns"))
-	o.figP99.Series(s).Add(t.Spec.X, worstP99.Seconds()*1000)
-	o.figGood.Series(s).Add(t.Spec.X, t.V("goodput.krps"))
-	if t.Spec.X > a.maxX {
-		a.maxX = t.Spec.X
-	}
-	if sloOK && t.V("collapse") == 0 && t.Spec.X > a.sloMax {
-		a.sloMax, a.sloAny = t.Spec.X, true
-	}
-	if t.V("collapse") == 1 && (!a.hasCollapse || t.Spec.X < a.collapseAt) {
-		a.collapseAt, a.hasCollapse = t.Spec.X, true
-	}
-	if t.Spec.X == o.peakX {
-		// Merge window-by-window: the rows are copied into the log, so
-		// nothing retains the trial's Windows buffers.
-		label := fmt.Sprintf("%s@%gk", s, t.Spec.X)
-		for _, st := range wins {
-			o.wlog.AddStat(label, st)
+// reduceOpenLoop folds the sweep into the SLO story: worst-window p99
+// versus offered load, goodput versus offered load, the full per-window
+// timeline at the highest offered rate, and headline lines naming each
+// configuration's highest SLO-compliant rate and collapse onset. All
+// tail statistics come from Trial.Windows — the whole point of the
+// windowed pipeline is that the reducer can ask per-window questions
+// the whole-run histogram cannot answer.
+func reduceOpenLoop(stem string, metWin sim.Duration, trials []Trial) *Report {
+	peakX := 0.0
+	for _, t := range trials {
+		if t.Spec.X > peakX {
+			peakX = t.Spec.X
 		}
 	}
-}
+	figP99 := trace.NewFigure("Open loop", "Worst steady-state window p99 vs offered load",
+		"offered krps", "worst-window p99 ms")
+	figGood := trace.NewFigure("Open loop", "Goodput vs offered load",
+		"offered krps", "goodput krps")
+	wlog := trace.NewWindowLog(stem+"-windows", "Per-window latency timeline at peak offered load", metWin)
+	aggs := map[string]*seriesAgg{}
+	var order []string // series in first-seen (spec) order
+	for _, t := range trials {
+		s := t.Spec.Series
+		a, ok := aggs[s]
+		if !ok {
+			a = &seriesAgg{sloMax: -1, collapseAt: -1}
+			aggs[s] = a
+			order = append(order, s)
+		}
+		wins := measureWindows(t)
+		worstP99, sloOK := worstWindowP99(wins, t.Dur("lat.p99.ns"))
+		figP99.Series(s).Add(t.Spec.X, worstP99.Seconds()*1000)
+		figGood.Series(s).Add(t.Spec.X, t.V("goodput.krps"))
+		if t.Spec.X > a.maxX {
+			a.maxX = t.Spec.X
+		}
+		if sloOK && t.V("collapse") == 0 && t.Spec.X > a.sloMax {
+			a.sloMax, a.sloAny = t.Spec.X, true
+		}
+		if t.V("collapse") == 1 && (!a.hasCollapse || t.Spec.X < a.collapseAt) {
+			a.collapseAt, a.hasCollapse = t.Spec.X, true
+		}
+		if t.Spec.X == peakX {
+			wlog.Add(fmt.Sprintf("%s@%gk", s, t.Spec.X), wins)
+		}
+	}
 
-// Finish assembles the report from the folded state.
-func (o *openLoopStream) Finish() *Report {
 	var lines []string
-	for _, s := range o.order {
-		a := o.aggs[s]
+	for _, s := range order {
+		a := aggs[s]
 		slo := "no offered rate met the SLO"
 		if a.sloAny {
 			slo = fmt.Sprintf("SLO-compliant up to %g krps (p99 <= %v in every %v window)",
-				a.sloMax, openLoopSLO, o.metWin)
+				a.sloMax, openLoopSLO, metWin)
 		}
 		col := fmt.Sprintf("no queueing collapse up to %g krps", a.maxX)
 		if a.hasCollapse {
@@ -258,43 +233,12 @@ func (o *openLoopStream) Finish() *Report {
 
 	return &Report{
 		Artifacts: []Artifact{
-			{Name: o.stem + "-p99", Item: o.figP99},
-			{Name: o.stem + "-goodput", Item: o.figGood},
-			{Name: o.stem + "-windows", Item: o.wlog},
+			{Name: stem + "-p99", Item: figP99},
+			{Name: stem + "-goodput", Item: figGood},
+			{Name: stem + "-windows", Item: wlog},
 		},
 		Lines: lines,
 	}
-}
-
-// streamOpenLoop builds the experiment's Stream hook: the peak offered
-// rate — which selects the window-log trial — comes from the specs, so
-// the one-pass fold needs no look-ahead over the trial list.
-func streamOpenLoop(stem string, metWin sim.Duration) func(Profile, []ScenarioSpec) Streamer {
-	return func(p Profile, specs []ScenarioSpec) Streamer {
-		peakX := 0.0
-		for _, s := range specs {
-			if s.X > peakX {
-				peakX = s.X
-			}
-		}
-		return newOpenLoopStream(stem, metWin, peakX)
-	}
-}
-
-// reduceOpenLoop is the batch entry point: it replays the buffered trial
-// list through the streaming fold, so the two paths cannot diverge.
-func reduceOpenLoop(stem string, metWin sim.Duration, trials []Trial) *Report {
-	peakX := 0.0
-	for _, t := range trials {
-		if t.Spec.X > peakX {
-			peakX = t.Spec.X
-		}
-	}
-	o := newOpenLoopStream(stem, metWin, peakX)
-	for _, t := range trials {
-		o.Consume(t)
-	}
-	return o.Finish()
 }
 
 // measureWindows filters a trial's redis.latency windows to those fully
@@ -361,7 +305,6 @@ var (
 		Reduce: func(p Profile, trials []Trial) *Report {
 			return reduceOpenLoop("openloop", 10*sim.Millisecond, trials)
 		},
-		Stream: streamOpenLoop("openloop", 10*sim.Millisecond),
 	}
 
 	expOpenLoopBurst = &Experiment{
@@ -380,7 +323,6 @@ var (
 		Reduce: func(p Profile, trials []Trial) *Report {
 			return reduceOpenLoop("openloop-burst", 10*sim.Millisecond, trials)
 		},
-		Stream: streamOpenLoop("openloop-burst", 10*sim.Millisecond),
 	}
 
 	// expOpenLoopHi stresses the harness itself rather than the modelled
@@ -389,7 +331,7 @@ var (
 	// configuration collapses by design — the artifact is the harness
 	// sustaining 500 krps of arrivals and a million modelled connections
 	// at a flat memory footprint (zero-alloc request lifecycle, batched
-	// arrival plan, streamed reduction), not the SLO story.
+	// arrival plan), not the SLO story.
 	expOpenLoopHi = &Experiment{
 		Name:  "openloop-hi",
 		Desc:  "Offers 100-500 krps — far past service capacity — to Redis SET over a 2^20-connection pool; deep queueing collapse is the expected result, and the point is that the harness sustains the offered rate with flat memory.",
@@ -406,6 +348,5 @@ var (
 		Reduce: func(p Profile, trials []Trial) *Report {
 			return reduceOpenLoop("openloop-hi", 10*sim.Millisecond, trials)
 		},
-		Stream: streamOpenLoop("openloop-hi", 10*sim.Millisecond),
 	}
 )

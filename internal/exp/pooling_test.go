@@ -20,8 +20,8 @@ func poolingTestExperiments(t *testing.T) []string {
 		// experiment whose report includes per-window tails, so this is
 		// where windowed-metrics determinism under pooling is enforced.
 		// openloop-hi rides along for the same reason at a rate an order
-		// of magnitude past service capacity: streamed reduction and the
-		// batched arrival path must stay deterministic in deep collapse.
+		// of magnitude past service capacity: the batched arrival path
+		// must stay deterministic in deep collapse.
 		return []string{"table2", "table3", "fig3", "tdx", "openloop", "openloop-hi"}
 	}
 	return Names()
@@ -32,7 +32,7 @@ func poolingTestExperiments(t *testing.T) []string {
 // 8-worker run must reduce to byte-identical reports (artifact CSVs,
 // headline lines, per-trial values and labels; Meta.Wall excluded) to
 // the unpooled reference, every spec built from scratch by Execute and
-// batch-reduced. This is exactly the benchsuite `-exp all -seed 42`
+// reduced. This is exactly the benchsuite `-exp all -seed 42`
 // tree compared across `-parallel 1/8`.
 func TestPooledExecuteDeterminism(t *testing.T) {
 	p := Profile{Seed: 42}
@@ -61,9 +61,7 @@ func TestPooledExecuteDeterminism(t *testing.T) {
 
 // unpooledReport is the reference a Runner must reproduce: every spec
 // of e executed from scratch by Execute, in order, and folded by the
-// batch Reduce. A streamed run releases each trial's window and trace
-// buffers once its reducer consumes it, so the reference drops them
-// after reducing too.
+// Reduce.
 func unpooledReport(t *testing.T, e *Experiment, p Profile) *Report {
 	t.Helper()
 	specs := e.Specs(p)
@@ -76,11 +74,6 @@ func unpooledReport(t *testing.T, e *Experiment, p Profile) *Report {
 		trials[i] = tr
 	}
 	rep := e.Reduce(p, trials)
-	if e.Stream != nil {
-		for i := range trials {
-			trials[i].Windows, trials[i].TraceEvents = nil, nil
-		}
-	}
 	finishReport(rep, e, trials)
 	return rep
 }

@@ -100,53 +100,9 @@ type Experiment struct {
 	Specs func(p Profile) []ScenarioSpec
 	// Reduce folds the trial results (in Specs order) into the report.
 	// It must depend only on the profile and the trials' Spec/Values/
-	// Labels fields, never on wall-clock metadata.
+	// Labels/Windows fields, never on wall-clock metadata.
 	Reduce func(p Profile, trials []Trial) *Report
-	// Stream, when non-nil, returns an incremental reducer for one run:
-	// the runner feeds it completed trials in Specs order as workers
-	// finish — releasing each trial's bulky buffers (Windows,
-	// TraceEvents) as soon as it is consumed — and takes the report from
-	// Finish instead of calling Reduce. A streamed run must produce a
-	// report byte-identical to Reduce over the buffered trial list
-	// (stream_test.go holds every registered experiment to this), so
-	// Stream is purely a peak-memory optimisation: a sweep's trial
-	// buffers die as the sweep progresses rather than accumulating until
-	// the reduce barrier.
-	Stream func(p Profile, specs []ScenarioSpec) Streamer
 }
-
-// Streamer is an incremental reducer: Consume folds one trial at a time,
-// in spec order, and Finish produces the report after the last trial.
-// Implementations should fold a trial's Windows and TraceEvents into
-// their own state rather than retaining them: the runner drops its
-// references after Consume returns, and anything the streamer keeps
-// alive is peak memory the streaming exists to shed.
-type Streamer interface {
-	Consume(t Trial)
-	Finish() *Report
-}
-
-// BufferStream wraps a batch reducer as a Streamer by accumulating the
-// trials and reducing at Finish. It is the reference behaviour a real
-// streaming reducer must reproduce byte-for-byte (it retains every
-// trial, so it gives up streaming's memory win; tests use it as the
-// golden side of the comparison).
-type BufferStream struct {
-	p      Profile
-	reduce func(p Profile, trials []Trial) *Report
-	trials []Trial
-}
-
-// NewBufferStream builds the buffering adapter around a batch reducer.
-func NewBufferStream(p Profile, reduce func(Profile, []Trial) *Report) *BufferStream {
-	return &BufferStream{p: p, reduce: reduce}
-}
-
-// Consume buffers one trial.
-func (b *BufferStream) Consume(t Trial) { b.trials = append(b.trials, t) }
-
-// Finish reduces the buffered trials.
-func (b *BufferStream) Finish() *Report { return b.reduce(b.p, b.trials) }
 
 var (
 	registry = map[string]*Experiment{}

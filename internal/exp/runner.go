@@ -127,69 +127,21 @@ func finishReport(rep *Report, e *Experiment, trials []Trial) {
 	}
 }
 
-// streamCursor drives one experiment's incremental reducer during a
-// run. Workers complete trials in arbitrary order; the cursor admits
-// them to the Streamer strictly in spec order — a completed trial waits
-// until every earlier slot has been consumed — so a streamed reduce
-// sees exactly the sequence the batch Reduce would. Once a failed trial
-// reaches the cursor, consumption stops: the experiment is reporting an
-// error and its Finish will never run.
-type streamCursor struct {
-	mu   sync.Mutex
-	st   Streamer
-	done []bool
-	next int
-	dead bool
-}
-
-// admit marks slot j complete and consumes every ready in-order trial.
-// Consumed trials have their bulky buffers (Windows, TraceEvents)
-// released immediately — the whole point of streaming: a long sweep's
-// per-trial timelines die as the sweep progresses instead of
-// accumulating until the reduce barrier.
-func (c *streamCursor) admit(j int, trials []Trial, terrs []error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.done[j] = true
-	for !c.dead && c.next < len(c.done) && c.done[c.next] {
-		k := c.next
-		if terrs[k] != nil {
-			c.dead = true
-			return
-		}
-		c.st.Consume(trials[k])
-		trials[k].Windows = nil
-		trials[k].TraceEvents = nil
-		c.next++
-	}
-}
-
 // RunExperiments generates the specs of every given experiment up
-// front, executes the union of all trials on one worker pool,
-// and reduces each experiment — in order. An experiment with a Stream
-// reducer consumes its trials incrementally as workers finish them (in
-// spec order, releasing each trial's window and trace buffers once
-// consumed) and takes its report from Finish at the end; the others
-// batch-Reduce after the barrier as before. Reports come back in
-// experiment order; a failed experiment leaves a nil slot and
+// front, executes the union of all trials on one worker pool, and
+// after the barrier reduces each experiment in order. Reports come back
+// in experiment order; a failed experiment leaves a nil slot and
 // contributes to the joined error, while the others still reduce.
 func (r *Runner) RunExperiments(es []*Experiment, p Profile) ([]*Report, error) {
 	type slot struct{ exp, trial int }
 	specs := make([][]ScenarioSpec, len(es))
 	trials := make([][]Trial, len(es))
 	terrs := make([][]error, len(es))
-	cursors := make([]*streamCursor, len(es))
 	var flat []slot
 	for i, e := range es {
 		specs[i] = e.Specs(p)
 		trials[i] = make([]Trial, len(specs[i]))
 		terrs[i] = make([]error, len(specs[i]))
-		if e.Stream != nil {
-			cursors[i] = &streamCursor{
-				st:   e.Stream(p, specs[i]),
-				done: make([]bool, len(specs[i])),
-			}
-		}
 		for j := range specs[i] {
 			flat = append(flat, slot{i, j})
 		}
@@ -199,9 +151,6 @@ func (r *Runner) RunExperiments(es []*Experiment, p Profile) ([]*Report, error) 
 		s := flat[k]
 		trials[s.exp][s.trial], terrs[s.exp][s.trial] =
 			ExecuteIn(contextFor(ctxs, w), specs[s.exp][s.trial])
-		if c := cursors[s.exp]; c != nil {
-			c.admit(s.trial, trials[s.exp], terrs[s.exp])
-		}
 	})
 	reports := make([]*Report, len(es))
 	var errs []error
@@ -210,12 +159,7 @@ func (r *Runner) RunExperiments(es []*Experiment, p Profile) ([]*Report, error) 
 			errs = append(errs, fmt.Errorf("%s: %w", e.Name, err))
 			continue
 		}
-		var rep *Report
-		if c := cursors[i]; c != nil {
-			rep = c.st.Finish()
-		} else {
-			rep = e.Reduce(p, trials[i])
-		}
+		rep := e.Reduce(p, trials[i])
 		finishReport(rep, e, trials[i])
 		reports[i] = rep
 	}

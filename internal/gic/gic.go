@@ -142,9 +142,6 @@ func (l *ListRegs) LiveCount() int {
 // At returns slot i's contents.
 func (l *ListRegs) At(i int) ListReg { return l.regs[i] }
 
-// Set overwrites slot i (used when merging a host-provided list).
-func (l *ListRegs) Set(i int, r ListReg) { l.regs[i] = r }
-
 // VisibleSnapshot returns the host-visible view of the list: all
 // non-hidden slots, in slot order. This is the filtered list the modified
 // RMM exposes to KVM (Fig. 5 step 5) so delegation stays transparent.

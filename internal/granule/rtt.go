@@ -85,9 +85,6 @@ func NewTree(r RealmID, gpt *Table, rootPA PA) (*Tree, error) {
 	return &Tree{realm: r, gpt: gpt, root: &rttNode{tablePA: rootPA}}, nil
 }
 
-// Realm reports the owning realm.
-func (t *Tree) Realm() RealmID { return t.realm }
-
 // Mapped reports the number of protected granules currently mapped.
 func (t *Tree) Mapped() uint64 { return t.mapped }
 

@@ -30,10 +30,6 @@ func NewIOzone(record int, write bool, total int64) *IOzone {
 	}
 }
 
-// SetPerByteWork overrides the guest-side per-byte handling cost in
-// nanoseconds per byte.
-func (z *IOzone) SetPerByteWork(nsPerByte float64) { z.nsPerByte = nsPerByte }
-
 // Next implements Program. Each round is: syscall + buffer-handling
 // compute, then a synchronous block request that blocks until completion.
 func (z *IOzone) Next(vcpu int) Action {

@@ -42,9 +42,6 @@ func NewNetPIPE(dev DeviceClass, msgBytes, rounds int) *NetPIPE {
 	}
 }
 
-// SetPerByteWork overrides the per-byte compute cost.
-func (n *NetPIPE) SetPerByteWork(d sim.Duration) { n.perByte = d }
-
 // Next implements Program. The echo server runs on vCPU 0; any other
 // vCPUs of the VM idle.
 func (n *NetPIPE) Next(vcpu int) Action {

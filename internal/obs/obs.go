@@ -57,21 +57,15 @@ func tid(ev sim.TraceEvent) int {
 	return globalLaneBase + int(ev.Cat)
 }
 
-// ChromeTrace writes events as Chrome trace-event JSON. proc names the
-// process row in the viewer (typically the scenario id). Events with a
-// nonzero Dur become complete ("X") slices; the rest become
-// thread-scoped instants ("i").
-func ChromeTrace(w io.Writer, proc string, events []sim.TraceEvent) error {
-	return ChromeTraceWithCounters(w, proc, events, nil)
-}
-
-// ChromeTraceWithCounters is ChromeTrace plus counter tracks: every
-// entry of counters becomes a Chrome counter ("C") sample at the
-// trace's final timestamp, so engine counter totals get their own
-// lanes in the viewer next to the event lanes. Counter samples are
-// emitted in sorted name order; zero values are included deliberately,
-// pinning the track (and the fact that the mechanism was off) into the
-// trace.
+// ChromeTraceWithCounters writes events as Chrome trace-event JSON.
+// proc names the process row in the viewer (typically the scenario id).
+// Events with a nonzero Dur become complete ("X") slices; the rest
+// become thread-scoped instants ("i"). Every entry of counters (nil
+// for none) becomes a Chrome counter ("C") sample at the trace's final
+// timestamp, so engine counter totals get their own lanes in the viewer
+// next to the event lanes. Counter samples are emitted in sorted name
+// order; zero values are included deliberately, pinning the track (and
+// the fact that the mechanism was off) into the trace.
 func ChromeTraceWithCounters(w io.Writer, proc string, events []sim.TraceEvent, counters map[string]uint64) error {
 	out := chromeTrace{DisplayTimeUnit: "ns"}
 	out.TraceEvents = append(out.TraceEvents, chromeEvent{
@@ -141,10 +135,10 @@ func ChromeTraceWithCounters(w io.Writer, proc string, events []sim.TraceEvent, 
 }
 
 // ValidateChrome structurally checks data against the trace-event
-// schema subset ChromeTrace emits: a traceEvents array whose entries
-// carry name/ph/pid/tid, with known phase codes and — because the
-// tracer records in engine order — monotonically non-decreasing
-// timestamps for the non-metadata events. It returns the number of
+// schema subset ChromeTraceWithCounters emits: a traceEvents array
+// whose entries carry name/ph/pid/tid, with known phase codes and —
+// because the tracer records in engine order — monotonically
+// non-decreasing timestamps for the non-metadata events. It returns the number of
 // non-metadata events on success.
 func ValidateChrome(data []byte) (int, error) {
 	var doc struct {

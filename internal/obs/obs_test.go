@@ -32,7 +32,7 @@ func tinyEvents() []sim.TraceEvent {
 
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := ChromeTrace(&buf, "tiny", tinyEvents()); err != nil {
+	if err := ChromeTraceWithCounters(&buf, "tiny", tinyEvents(), nil); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "tiny_trace.golden.json")
@@ -55,7 +55,7 @@ func TestChromeTraceGolden(t *testing.T) {
 
 func TestChromeTraceValidates(t *testing.T) {
 	var buf bytes.Buffer
-	if err := ChromeTrace(&buf, "tiny", tinyEvents()); err != nil {
+	if err := ChromeTraceWithCounters(&buf, "tiny", tinyEvents(), nil); err != nil {
 		t.Fatal(err)
 	}
 	n, err := ValidateChrome(buf.Bytes())

@@ -48,13 +48,6 @@ func DefineCounter(name string) CounterID {
 	return id
 }
 
-// NumCounters reports how many counters have been registered.
-func NumCounters() int {
-	counterReg.Lock()
-	defer counterReg.Unlock()
-	return len(counterReg.names)
-}
-
 // CounterName reports the name a CounterID was registered under.
 func CounterName(id CounterID) string {
 	counterReg.Lock()

@@ -146,6 +146,3 @@ func (t *Ticker) Stop() {
 
 // Running reports whether the ticker is active.
 func (t *Ticker) Running() bool { return t.ev.Pending() }
-
-// Period reports the tick interval.
-func (t *Ticker) Period() Duration { return t.period }

@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Time is an absolute simulation timestamp in nanoseconds since the start
@@ -44,9 +43,6 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
 // Micros reports d as floating-point microseconds.
 func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
-
-// Nanos reports d as an integer nanosecond count.
-func (d Duration) Nanos() int64 { return int64(d) }
 
 func (d Duration) String() string { return fmtDuration(d) }
 
@@ -168,9 +164,6 @@ func (e *Engine) Reset(seed uint64) {
 
 // Now reports the current simulation time.
 func (e *Engine) Now() Time { return e.now }
-
-// Seed reports the root seed the engine was constructed with.
-func (e *Engine) Seed() uint64 { return e.seed }
 
 // EventsFired reports how many queued events have executed so far;
 // chain events (SetChain) are not counted.
@@ -411,14 +404,4 @@ func (e *Engine) Source(name string) *Source {
 	s := NewSource(mix(e.seed, hashString(name)))
 	e.sources[name] = s
 	return s
-}
-
-// SourceNames reports the names of all sources created so far, sorted.
-func (e *Engine) SourceNames() []string {
-	names := make([]string, 0, len(e.sources))
-	for n := range e.sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -92,9 +92,6 @@ func (e *Engine) EnableTracing(capacity int) *Tracer {
 	return e.trc
 }
 
-// DisableTracing detaches the tracer, discarding recorded events.
-func (e *Engine) DisableTracing() { e.trc = nil }
-
 // Trace reports the attached tracer, or nil when tracing is disabled.
 // The result is always safe to emit on: sites write
 // e.Trace().Emit(...) unconditionally.

@@ -151,15 +151,10 @@ func (l *WindowLog) Add(label string, stats []WindowStat) {
 	}
 }
 
-// AddStat appends a single labelled window — the unit streaming reducers
-// merge at, so a log can grow window-by-window as trials complete
-// without buffering whole timelines.
+// AddStat appends a single labelled window.
 func (l *WindowLog) AddStat(label string, st WindowStat) {
 	l.rows = append(l.rows, windowRow{label: label, stat: st})
 }
-
-// Rows reports the number of (label, window) rows.
-func (l *WindowLog) Rows() int { return len(l.rows) }
 
 // CSV renders the log as one row per (window, label). Empty windows keep
 // their row — a gap in service is data — with the latency cells empty.

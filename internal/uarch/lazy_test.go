@@ -255,9 +255,10 @@ func TestLazyMatchesEagerProperty(t *testing.T) {
 	}
 }
 
-// TestTouchDefersStream: Touch pays for neither the draws nor the jump.
-// After N touches Mark still reports the original anchor with the summed
-// lag, and the next draw equals the one the eager fills leave.
+// TestTouchDefersStream checks that Touch pays for neither the draws
+// nor the jump. After N touches Mark still reports the original anchor
+// with the summed lag, and the next draw equals the one the eager fills
+// leave.
 func TestTouchDefersStream(t *testing.T) {
 	cs, src := NewCoreState(), sim.NewSource(8)
 	eager, eagerSrc := newEagerBufs(), sim.NewSource(8)

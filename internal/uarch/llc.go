@@ -46,18 +46,6 @@ func NewSetAssocCache(sets, ways int) *SetAssocCache {
 	return c
 }
 
-// Reset invalidates every line, rewinds the per-set eviction cursors,
-// and clears partitioning, reusing the line arrays — a pooled cache is
-// indistinguishable from a fresh NewSetAssocCache of the same geometry.
-func (c *SetAssocCache) Reset() {
-	for _, set := range c.lines {
-		clear(set)
-	}
-	clear(c.rr)
-	c.partitioned = false
-	clear(c.wayOwner)
-}
-
 // Sets and Ways report the geometry.
 func (c *SetAssocCache) Sets() int { return c.sets }
 

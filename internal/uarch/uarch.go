@@ -185,9 +185,6 @@ func NewBuffer(kind StructKind, capacity int) *Buffer {
 	return &Buffer{kind: kind, cap: capacity}
 }
 
-// Kind reports the structure class.
-func (b *Buffer) Kind() StructKind { return b.kind }
-
 // Cap reports the entry capacity.
 func (b *Buffer) Cap() int { return b.cap }
 

@@ -191,7 +191,7 @@ type VFDevice struct {
 	vmm  *VMM
 	peer func(bytes, tag int)
 
-	txBytes, rxBytes uint64
+	txBytes uint64
 }
 
 // ConnectPeer attaches the external peer's receive function.
@@ -219,7 +219,6 @@ func vfWireDone(c devCall) {
 // "additional interrupt latency" limitation).
 func (d *VFDevice) DeliverToGuest(vcpu, bytes, tag int) {
 	v := d.vmm
-	d.rxBytes += uint64(bytes)
 	v.eng.Count(cVFRX)
 	v.eng.After(v.costs.VFDMALatency, "vf-dma", v.bind(vfDMADone, devCall{vcpu: vcpu, bytes: bytes, tag: tag}))
 }
@@ -230,6 +229,3 @@ func vfDMADone(c devCall) {
 
 // TxBytes reports transmitted bytes.
 func (d *VFDevice) TxBytes() uint64 { return d.txBytes }
-
-// RxBytes reports received bytes.
-func (d *VFDevice) RxBytes() uint64 { return d.rxBytes }

@@ -6,8 +6,11 @@
 // reports every func declared in a non-test file under internal/ that
 // none of the binaries contains.
 //
-// The report is informational: it always exits 0 unless the build or
-// the parse fails. Run it from the module root:
+// It is also a gate. Every unreachable function must be listed in
+// allow.txt (next to this file) with a one-word reason, and every listed
+// function must still be declared and still be unreachable; anything
+// else is reported and the command exits 1, so new dead code and stale
+// list lines both fail. Run it from the module root:
 //
 //	go run ./scripts/unreachable
 package main
@@ -21,10 +24,24 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
-const module = "coregap"
+const (
+	module    = "coregap"
+	allowFile = "scripts/unreachable/allow.txt"
+)
+
+// reasons are the allowlist's one-word reasons for keeping a function
+// that no binary reaches.
+var reasons = map[string]bool{
+	"accessor":  true, // a read-only getter tests observe state through
+	"knob":      true, // a setter tests configure a model through
+	"reference": true, // an implementation tests compare live code against
+	"api":       true, // a root-package (coregap) entry point
+	"item8":     true, // RMI/RSI ABI, gic.ListRegs, granule RTT (ROADMAP item 8)
+}
 
 // decl is one func declaration: its symbol key (receiver type and name
 // joined by a dot, or the bare name) within its package.
@@ -32,6 +49,12 @@ type decl struct {
 	pkg, key string
 	pos      token.Position
 	lines    int // from the doc comment's first line to the closing brace
+}
+
+// name is the declaration as reports and allow.txt spell it:
+// "sim.Engine.Now" for coregap/internal/sim's Engine.Now.
+func (d decl) name() string {
+	return strings.TrimPrefix(d.pkg, module+"/internal/") + "." + d.key
 }
 
 func main() {
@@ -43,6 +66,14 @@ func main() {
 
 func run() error {
 	decls, err := declarations("internal")
+	if err != nil {
+		return err
+	}
+	text, err := os.ReadFile(allowFile)
+	if err != nil {
+		return err
+	}
+	allow, err := parseAllow(string(text))
 	if err != nil {
 		return err
 	}
@@ -78,11 +109,67 @@ func run() error {
 		}
 		dead++
 		lines += d.lines
-		fmt.Printf("%s:%d\t%s.%s\t%d\n", d.pos.Filename, d.pos.Line, strings.TrimPrefix(d.pkg, module+"/"), d.key, d.lines)
+		fmt.Printf("%s:%d\t%s\t%d\t%s\n", d.pos.Filename, d.pos.Line, d.name(), d.lines, allow[d.name()])
 	}
 	fmt.Printf("unreachable: %d of %d functions, %d lines (with doc comments), reached by none of %d binaries\n",
 		dead, len(decls), lines, len(bins))
+	if problems := gate(decls, reached, allow); len(problems) > 0 {
+		for _, p := range problems {
+			fmt.Fprintln(os.Stderr, "unreachable:", p)
+		}
+		return fmt.Errorf("%d problem(s); delete the dead code, or list it in %s with a reason", len(problems), allowFile)
+	}
 	return nil
+}
+
+// gate checks the scan against the allowlist: a function no binary
+// reaches must be listed, and a listed function must be declared and
+// unreached. It returns one line per violation, in declaration order
+// and then in name order for list lines naming nothing declared.
+func gate(decls []decl, reached map[string]bool, allow map[string]string) []string {
+	var problems []string
+	declared := map[string]bool{}
+	for _, d := range decls {
+		name := d.name()
+		declared[name] = true
+		_, listed := allow[name]
+		switch dead := !reached[d.pkg+"."+d.key]; {
+		case dead && !listed:
+			problems = append(problems, fmt.Sprintf("%s:%d: %s is reached by no binary and not listed", d.pos.Filename, d.pos.Line, name))
+		case !dead && listed:
+			problems = append(problems, fmt.Sprintf("%s is listed but now reached", name))
+		}
+	}
+	var gone []string
+	for name := range allow {
+		if !declared[name] {
+			gone = append(gone, fmt.Sprintf("%s is listed but not declared", name))
+		}
+	}
+	sort.Strings(gone)
+	return append(problems, gone...)
+}
+
+// parseAllow reads allow.txt: one "name reason" pair per line, blank
+// lines and #-comments ignored. A line with an unknown reason, a name
+// listed twice or any other shape is an error.
+func parseAllow(text string) (map[string]string, error) {
+	allow := map[string]string{}
+	for i, line := range strings.Split(text, "\n") {
+		body, _, _ := strings.Cut(line, "#")
+		f := strings.Fields(body)
+		switch {
+		case len(f) == 0:
+			continue
+		case len(f) != 2 || !reasons[f[1]]:
+			return nil, fmt.Errorf("%s:%d: want \"name reason\" with a known reason, got %q", allowFile, i+1, line)
+		}
+		if _, dup := allow[f[0]]; dup {
+			return nil, fmt.Errorf("%s:%d: %s listed twice", allowFile, i+1, f[0])
+		}
+		allow[f[0]] = f[1]
+	}
+	return allow, nil
 }
 
 // build compiles every binary the scan covers into dir and returns

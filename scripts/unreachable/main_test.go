@@ -91,3 +91,44 @@ func TestTextSymbol(t *testing.T) {
 		}
 	}
 }
+
+// TestGate covers the allowlist's three outcomes on one scan: a dead
+// function missing from the list fails, a list line naming a reached or
+// undeclared function fails, and a listed dead function passes.
+func TestGate(t *testing.T) {
+	const pkg = module + "/internal/sim"
+	decls := []decl{
+		{pkg: pkg, key: "Live"},
+		{pkg: pkg, key: "Engine.Kept"},
+		{pkg: pkg, key: "Engine.Dead", pos: token.Position{Filename: "internal/sim/sim.go", Line: 3}},
+	}
+	reached := map[string]bool{pkg + ".Live": true}
+	for _, tc := range []struct {
+		name  string
+		allow map[string]string
+		want  []string
+	}{
+		{"listed dead passes", map[string]string{"sim.Engine.Kept": "accessor", "sim.Engine.Dead": "knob"}, nil},
+		{"unlisted dead fails", map[string]string{"sim.Engine.Kept": "accessor"},
+			[]string{"internal/sim/sim.go:3: sim.Engine.Dead is reached by no binary and not listed"}},
+		{"stale lines fail", map[string]string{"sim.Engine.Kept": "accessor", "sim.Engine.Dead": "knob",
+			"sim.Live": "api", "sim.Gone": "item8"},
+			[]string{"sim.Live is listed but now reached", "sim.Gone is listed but not declared"}},
+	} {
+		if got := gate(decls, reached, tc.allow); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: gate = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestParseAllow(t *testing.T) {
+	allow, err := parseAllow("# header\n\nsim.Engine.Kept   accessor\nexp.RunFig6 api # typed wrapper\n")
+	if err != nil || len(allow) != 2 || allow["sim.Engine.Kept"] != "accessor" || allow["exp.RunFig6"] != "api" {
+		t.Errorf("parseAllow = %v, %v", allow, err)
+	}
+	for _, bad := range []string{"sim.F\n", "sim.F unused\n", "sim.F api extra\n", "sim.F api\nsim.F accessor\n"} {
+		if _, err := parseAllow(bad); err == nil {
+			t.Errorf("parseAllow(%q) accepted", bad)
+		}
+	}
+}
