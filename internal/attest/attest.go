@@ -1,8 +1,7 @@
 // Package attest implements the measurement and attestation machinery
 // guests rely on to trust the platform (§2.4): a measurement ledger that
-// accumulates the realm initial measurement (RIM) and runtime extensible
-// measurements (REMs), and attestation tokens binding those measurements
-// to a platform key.
+// accumulates the realm initial measurement (RIM), and attestation tokens
+// binding it to a platform key.
 //
 // Crucially for this paper, the *monitor's own image* is part of the
 // attested chain: a guest can verify it is running on a core-gapping RMM
@@ -16,7 +15,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 )
 
 // Measurement is a SHA-256 digest.
@@ -40,17 +38,11 @@ func Extend(old Measurement, data []byte) Measurement {
 	return out
 }
 
-// NumREMs is the number of runtime extensible measurement registers,
-// matching the RMM specification.
-const NumREMs = 4
-
-// Ledger accumulates a realm's measurements during construction and
-// runtime. The RIM is sealed when the realm is activated; REMs may be
-// extended by the guest afterwards.
+// Ledger accumulates a realm's measurements during construction. The RIM
+// is sealed when the realm is activated.
 type Ledger struct {
 	rim    Measurement
 	sealed bool
-	rems   [NumREMs]Measurement
 }
 
 // ExtendRIM folds construction-time data (initial memory contents, vCPU
@@ -72,21 +64,6 @@ func (l *Ledger) Sealed() bool { return l.sealed }
 // RIM reports the realm initial measurement.
 func (l *Ledger) RIM() Measurement { return l.rim }
 
-// ExtendREM folds guest-provided data into REM index i (RSI call).
-func (l *Ledger) ExtendREM(i int, data []byte) error {
-	if i < 0 || i >= NumREMs {
-		return fmt.Errorf("attest: REM index %d out of range", i)
-	}
-	if !l.sealed {
-		return errors.New("attest: REM extended before activation")
-	}
-	l.rems[i] = Extend(l.rems[i], data)
-	return nil
-}
-
-// REM reports runtime measurement register i.
-func (l *Ledger) REM(i int) Measurement { return l.rems[i] }
-
 // Token is a signed attestation report. The platform section covers the
 // monitor image (so the verifier learns whether a core-gapping monitor is
 // running); the realm section covers the guest's own measurements.
@@ -95,7 +72,6 @@ type Token struct {
 	MonitorVersion      string
 	CoreGapped          bool // monitor enforces core gapping
 	RIM                 Measurement
-	REMs                [NumREMs]Measurement
 	Challenge           [32]byte
 	MAC                 [sha256.Size]byte
 }
@@ -125,9 +101,6 @@ func (s *Signer) mac(t *Token) [sha256.Size]byte {
 	}
 	h.Write(gap[:])
 	h.Write(t.RIM[:])
-	for i := range t.REMs {
-		h.Write(t.REMs[i][:])
-	}
 	h.Write(t.Challenge[:])
 	var out [sha256.Size]byte
 	copy(out[:], h.Sum(nil))
@@ -145,9 +118,6 @@ func (s *Signer) Issue(platform Measurement, version string, coreGapped bool, l 
 		CoreGapped:          coreGapped,
 		RIM:                 l.RIM(),
 		Challenge:           challenge,
-	}
-	for i := 0; i < NumREMs; i++ {
-		t.REMs[i] = l.REM(i)
 	}
 	t.MAC = s.mac(t)
 	return t, nil

@@ -38,10 +38,6 @@ func TestLedgerLifecycle(t *testing.T) {
 	}
 	rim := l.RIM()
 
-	// REM before activation fails.
-	if err := l.ExtendREM(0, []byte("x")); err == nil {
-		t.Fatal("REM extend before seal succeeded")
-	}
 	l.Seal()
 	if !l.Sealed() {
 		t.Fatal("not sealed")
@@ -52,15 +48,6 @@ func TestLedgerLifecycle(t *testing.T) {
 	}
 	if l.RIM() != rim {
 		t.Fatal("RIM changed after seal")
-	}
-	if err := l.ExtendREM(2, []byte("runtime")); err != nil {
-		t.Fatal(err)
-	}
-	if l.REM(2) == (Measurement{}) {
-		t.Fatal("REM not extended")
-	}
-	if err := l.ExtendREM(NumREMs, nil); err == nil {
-		t.Fatal("out-of-range REM accepted")
 	}
 }
 

@@ -7,14 +7,82 @@ import (
 
 	"coregap/internal/guest"
 	"coregap/internal/hw"
-	"coregap/internal/rmm"
 	"coregap/internal/sim"
+	"coregap/internal/smc"
 	"coregap/internal/uarch"
 )
 
 // These tests play the malicious hypervisor of the threat model (§2.4):
 // the host controls resource allocation and scheduling, and tries every
 // lever it legitimately holds to break the §3 isolation properties.
+
+// smcCall issues one raw RMI call on the node's monitor, as a
+// compromised host kernel would, and reports the returned status.
+func smcCall(n *Node, fid smc.FID, args ...uint64) smc.Status {
+	c := smc.Call{FID: fid}
+	copy(c.Args[:], args)
+	return n.Mon.Handle(c).Status
+}
+
+// TestGappedBootSMCCalls: a gapped boot of v vCPUs reaches the monitor
+// only through its SMC entry, in exactly 18 + 3v calls — two root
+// granules, realm create, three RTT levels (granule + create each), four
+// boot pages (granule + data create each) and activation, then per vCPU
+// a REC granule, REC create and core dedication. Forged handles, and the
+// VM's own handles once StopVM has destroyed the realm, return error
+// statuses.
+func TestGappedBootSMCCalls(t *testing.T) {
+	for vcpus := 1; vcpus <= 3; vcpus++ {
+		n := NewNode(8, GappedDefault(), DefaultParams(), 17)
+		vm, err := n.NewVM("vm0", vcpus, guest.NewCoreMark(vcpus, 50*sim.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Eng.RunFor(10 * sim.Millisecond) // the hotplug handoffs dedicate
+		if got, want := count(n, "rmm.smc_calls"), uint64(18+3*vcpus); got != want {
+			t.Fatalf("%d vCPUs: boot made %d SMC calls, want %d", vcpus, got, want)
+		}
+
+		rd, rec := uint64(vm.rd), uint64(vm.vcpus[0].recPA)
+		core := uint64(vm.GuestCores()[0])
+		for _, c := range []struct {
+			name string
+			fid  smc.FID
+			args []uint64
+			want smc.Status
+		}{
+			{"unknown rd", smc.RMIRealmActivate, []uint64{0xdead000}, smc.StatusErrorRealm},
+			{"rec as rd", smc.RMIRecCreate, []uint64{rec, 0}, smc.StatusErrorRealm},
+			{"unknown rec", smc.RMIRecEnter, []uint64{0xdead000, core}, smc.StatusErrorRec},
+			{"rd as rec", smc.RMIRecEnter, []uint64{rd, core}, smc.StatusErrorRec},
+			{"rd as rebind rec", smc.RMICoreRebind, []uint64{rd, core}, smc.StatusErrorRec},
+			{"double activate", smc.RMIRealmActivate, []uint64{rd}, smc.StatusErrorRealm},
+		} {
+			if got := smcCall(n, c.fid, c.args...); got != c.want {
+				t.Errorf("%d vCPUs, %s: %v, want %v", vcpus, c.name, got, c.want)
+			}
+		}
+
+		if err := n.StopVM(vm); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			fid  smc.FID
+			args []uint64
+			want smc.Status
+		}{
+			{"stale rd", smc.RMIRealmDestroy, []uint64{rd}, smc.StatusErrorRealm},
+			{"stale rd data", smc.RMIDataCreate, []uint64{rd, 0x9000_0000, 0}, smc.StatusErrorRealm},
+			{"stale rec enter", smc.RMIRecEnter, []uint64{rec, core}, smc.StatusErrorRec},
+			{"stale rec destroy", smc.RMIRecDestroy, []uint64{rec}, smc.StatusErrorRec},
+		} {
+			if got := smcCall(n, c.fid, c.args...); got != c.want {
+				t.Errorf("%d vCPUs, %s: %v, want %v", vcpus, c.name, got, c.want)
+			}
+		}
+	}
+}
 
 func TestHostileCoSchedulingAttack(t *testing.T) {
 	// The §3 attack: run a victim CVM, then try to dispatch an
@@ -35,16 +103,16 @@ func TestHostileCoSchedulingAttack(t *testing.T) {
 	// The "hypervisor" asks the monitor directly (as a compromised KVM
 	// would): every dispatch of the attacker's REC onto a victim core
 	// must fail.
-	aRec := vmA.Realm().RECs()[0]
+	aRec := uint64(vmA.vcpus[0].recPA)
 	for _, core := range vmV.GuestCores() {
-		if err := n.Mon.CheckEnter(aRec, core); err == nil {
-			t.Fatalf("monitor allowed attacker vCPU on victim core %d", core)
+		if st := smcCall(n, smc.RMIRecEnter, aRec, uint64(core)); st != smc.StatusErrorCoreGap {
+			t.Fatalf("attacker vCPU on victim core %d: %v", core, st)
 		}
 	}
 	// And the victim's REC cannot be migrated onto the attacker's core.
-	vRec := vmV.Realm().RECs()[0]
-	if err := n.Mon.CheckEnter(vRec, vmA.GuestCores()[0]); err == nil {
-		t.Fatal("monitor allowed victim vCPU migration onto attacker core")
+	vRec := uint64(vmV.vcpus[0].recPA)
+	if st := smcCall(n, smc.RMIRecEnter, vRec, uint64(vmA.GuestCores()[0])); st != smc.StatusErrorCoreGap {
+		t.Fatalf("victim vCPU migration onto attacker core: %v", st)
 	}
 	n.RunUntilAllHalted(10 * sim.Second)
 }
@@ -91,8 +159,8 @@ func TestHostileReclaimAndDestroyRaces(t *testing.T) {
 
 	// Reclaim attempts while the CVM runs: all refused.
 	for _, c := range vm.GuestCores() {
-		if err := n.Mon.ReclaimCore(c); err == nil {
-			t.Fatalf("reclaimed live CVM core %d", c)
+		if st := smcCall(n, smc.RMICoreReclaim, uint64(c)); st != smc.StatusErrorCoreGap {
+			t.Fatalf("reclaim of live CVM core %d: %v", c, st)
 		}
 	}
 	// Destroying the realm mid-run is the host's right (DoS); afterwards
@@ -120,9 +188,9 @@ func TestHostileRebindToVictimCore(t *testing.T) {
 	if err := n.RebindVCPU(vmA, 0, vmV.GuestCores()[0]); err == nil {
 		t.Fatal("planner allowed rebind onto a victim core")
 	}
-	aRec := vmA.Realm().RECs()[0]
-	if err := n.Mon.RebindRec(aRec, vmV.GuestCores()[0]); err != rmm.ErrCoreInUse {
-		t.Fatalf("monitor rebind onto bound core: %v", err)
+	aRec := uint64(vmA.vcpus[0].recPA)
+	if st := smcCall(n, smc.RMICoreRebind, aRec, uint64(vmV.GuestCores()[0])); st != smc.StatusErrorCoreGap {
+		t.Fatalf("monitor rebind onto bound core: %v", st)
 	}
 	n.RunUntilAllHalted(10 * sim.Second)
 }

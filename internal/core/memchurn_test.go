@@ -6,11 +6,12 @@ import (
 	"coregap/internal/granule"
 	"coregap/internal/guest"
 	"coregap/internal/sim"
+	"coregap/internal/smc"
 )
 
 // TestDynamicMemoryWhileRunning exercises §7's "dynamic memory allocation
 // and deallocation" claim: the host balloons pages into and out of a
-// *running* core-gapped CVM through the monitor (stage-2 churn), without
+// *running* core-gapped CVM through the monitor's RMI (stage-2 churn), without
 // disturbing the guest and without unbalancing granule accounting.
 func TestDynamicMemoryWhileRunning(t *testing.T) {
 	n := NewNode(3, GappedDefault(), DefaultParams(), 21)
@@ -22,7 +23,7 @@ func TestDynamicMemoryWhileRunning(t *testing.T) {
 	n.Eng.RunFor(10 * sim.Millisecond)
 
 	gpt := n.Mach.GPT()
-	realm := vm.Realm()
+	rd := uint64(vm.rd)
 	base := granule.IPA(0x8000_0000)
 
 	// Balloon in: map 64 fresh pages while the guest computes.
@@ -30,8 +31,8 @@ func TestDynamicMemoryWhileRunning(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		ipa := base + granule.IPA((16+i)*granule.Size)
 		pa := n.allocGranule()
-		if err := n.Mon.DataCreate(realm, ipa, pa, nil); err != nil {
-			t.Fatalf("balloon-in page %d: %v", i, err)
+		if st := smcCall(n, smc.RMIDataCreate, rd, uint64(ipa), uint64(pa)); st != smc.StatusSuccess {
+			t.Fatalf("balloon-in page %d: %v", i, st)
 		}
 		mapped = append(mapped, ipa)
 		n.Eng.RunFor(100 * sim.Microsecond)
@@ -43,8 +44,8 @@ func TestDynamicMemoryWhileRunning(t *testing.T) {
 		if i%2 == 1 {
 			continue
 		}
-		if err := realm.RTT().Unmap(ipa); err != nil {
-			t.Fatalf("balloon-out %v: %v", ipa, err)
+		if st := smcCall(n, smc.RMIDataDestroy, rd, uint64(ipa)); st != smc.StatusSuccess {
+			t.Fatalf("balloon-out %v: %v", ipa, st)
 		}
 		n.Eng.RunFor(100 * sim.Microsecond)
 	}
@@ -68,7 +69,7 @@ func TestDynamicMemoryWhileRunning(t *testing.T) {
 	}
 
 	// Unmapped (Destroyed) IPAs cannot be silently remapped by the host.
-	if err := n.Mon.DataCreate(realm, mapped[0], n.allocGranule(), nil); err == nil {
+	if st := smcCall(n, smc.RMIDataCreate, rd, uint64(mapped[0]), uint64(n.allocGranule())); st == smc.StatusSuccess {
 		t.Fatal("replay of destroyed mapping accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"coregap/internal/planner"
 	"coregap/internal/rmm"
 	"coregap/internal/sim"
+	"coregap/internal/smc"
 	"coregap/internal/trace"
 )
 
@@ -161,12 +162,23 @@ func NewNodeIn(ctx *Context, opts Options, p Params) *Node {
 	return n
 }
 
+// rmi issues one RMI call through the monitor's SMC entry — the host's
+// only way into the monitor — and turns a failure status into an error.
+func (n *Node) rmi(fid smc.FID, args ...uint64) error {
+	c := smc.Call{FID: fid}
+	copy(c.Args[:], args)
+	if res := n.Mon.Handle(c); res.Status != smc.StatusSuccess {
+		return fmt.Errorf("core: %v: %v", fid, res.Status)
+	}
+	return nil
+}
+
 // allocGranule delegates and returns a fresh physical granule, walking a
 // bump allocator across the machine's memory.
 func (n *Node) allocGranule() granule.PA {
 	pa := n.nextPA
 	n.nextPA += granule.Size
-	if err := n.Mach.GPT().Delegate(pa); err != nil {
+	if err := n.rmi(smc.RMIGranuleDelegate, uint64(pa)); err != nil {
 		panic(fmt.Sprintf("core: granule allocation failed: %v", err))
 	}
 	return pa

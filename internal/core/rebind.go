@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"coregap/internal/hw"
+	"coregap/internal/smc"
 )
 
 // Live vCPU-to-core rebinding (§3's future-work extension): the planner
@@ -48,7 +49,9 @@ func (n *Node) RebindVCPU(vm *VM, vcpu int, to hw.CoreID) error {
 
 	// Take the target core from the host, as at VM start (§4.2).
 	err := n.Kern.OfflineCore(to, func() {
-		n.Mon.DedicateCore(to)
+		// Only an id the machine lacks fails, and the planner reserved
+		// a core of the machine.
+		_ = n.rmi(smc.RMICoreDedicate, uint64(to))
 		v.pendingRebind = to
 		// Force a prompt exit so the rebind happens at coarse-but-bounded
 		// latency; if the vCPU is between run calls the rebind rides the
@@ -89,10 +92,12 @@ func (v *VCPU) applyPendingRebind() {
 	v.pendingRebind = hw.NoCore
 	v.rebindInFlight = false
 	n := v.node()
-	if err := n.Mon.RebindRec(v.rec, to); err != nil {
+	if err := n.rmi(smc.RMICoreRebind, uint64(v.recPA), uint64(to)); err != nil {
 		// Validation failed (e.g. the VM is being torn down): return the
 		// target core to the host rather than leaking it.
-		n.Mon.ReclaimCore(to)
+		// The planner reserved it free, so no REC is bound to it and
+		// the reclaim cannot fail.
+		_ = n.rmi(smc.RMICoreReclaim, uint64(to))
 		n.Kern.OnlineCore(to)
 		n.Plan.AbortRebind(v.vm.name, to)
 		n.Eng.Count(v.vm.met.rebindFailed)
@@ -109,7 +114,7 @@ func (v *VCPU) applyPendingRebind() {
 	}
 	// The old core is already wiped by the monitor; reclaim it and give
 	// it back to the host scheduler and the planner's free pool.
-	if err := n.Mon.ReclaimCore(old); err == nil {
+	if err := n.rmi(smc.RMICoreReclaim, uint64(old)); err == nil {
 		n.Kern.OnlineCore(old)
 	}
 	n.Plan.CompleteRebind(v.vm.name, old)

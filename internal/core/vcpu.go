@@ -1,6 +1,7 @@
 package core
 
 import (
+	"coregap/internal/granule"
 	"coregap/internal/guest"
 	"coregap/internal/host"
 	"coregap/internal/hw"
@@ -69,7 +70,11 @@ type VCPU struct {
 	vm  *VM
 	idx int
 
-	rec    *rmm.REC  // gapped only
+	// recPA is the host's handle for the vCPU's REC; rec is the
+	// monitor's own record of it, which only the dedicated core's entry
+	// path uses (gapped only).
+	recPA  granule.PA
+	rec    *rmm.REC
 	dcore  hw.CoreID // dedicated core (gapped) or NoCore
 	thread *host.Thread
 	mb     *rpc.Mailbox // run-call channel (gapped)

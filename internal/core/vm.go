@@ -11,6 +11,7 @@ import (
 	"coregap/internal/rmm"
 	"coregap/internal/rpc"
 	"coregap/internal/sim"
+	"coregap/internal/smc"
 	"coregap/internal/uarch"
 	"coregap/internal/vmm"
 )
@@ -22,7 +23,11 @@ type VM struct {
 	prog guest.Program
 
 	domain uarch.DomainID
-	realm  *rmm.Realm // nil in SharedCore mode
+	// rd is the host's handle for the CVM's realm; realm is the
+	// monitor's own record of it, read for the domain and attestation
+	// (nil in SharedCore mode).
+	rd     granule.PA
+	realm  *rmm.Realm
 	VMM    *vmm.VMM
 	assign *assignment
 
@@ -161,28 +166,26 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 	}
 	vm.assign = &assignment{guestCores: a.GuestCores, hostCore: a.HostCore}
 
-	// 2. Realm construction via RMI.
-	realm, err := n.Mon.RealmCreate(
-		rmm.RealmParams{Name: vm.name, VCPUs: vcpus, IPASize: 40},
-		n.allocGranule(), n.allocGranule())
-	if err != nil {
+	// 2. Realm construction via RMI: rd, rtt root, vcpus, IPA bits, flags.
+	rd, rtt := n.allocGranule(), n.allocGranule()
+	if err := n.rmi(smc.RMIRealmCreate, uint64(rd), uint64(rtt), uint64(vcpus), 40, 0); err != nil {
 		n.Plan.Release(vm.name)
 		return err
 	}
-	vm.realm = realm
-	vm.domain = realm.Domain()
+	vm.rd = rd
+	vm.realm = n.Mon.Realm(rd)
+	vm.domain = vm.realm.Domain()
 
-	// Initial memory: build stage-2 tables and measure a boot image.
+	// Initial memory: build stage-2 tables and map a measured boot image.
 	base := granule.IPA(0x8000_0000)
 	for level := 1; level <= 3; level++ {
-		if err := realm.RTT().CreateTable(base, level, n.allocGranule()); err != nil {
+		if err := n.rmi(smc.RMIRttCreate, uint64(rd), uint64(base), uint64(level), uint64(n.allocGranule())); err != nil {
 			return fmt.Errorf("core: rtt setup: %w", err)
 		}
 	}
 	for i := 0; i < 4; i++ {
 		ipa := base + granule.IPA(i*granule.Size)
-		if err := n.Mon.DataCreate(realm, ipa, n.allocGranule(),
-			[]byte(fmt.Sprintf("%s-boot-%d", vm.name, i))); err != nil {
+		if err := n.rmi(smc.RMIDataCreate, uint64(rd), uint64(ipa), uint64(n.allocGranule())); err != nil {
 			return fmt.Errorf("core: data create: %w", err)
 		}
 	}
@@ -195,12 +198,13 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 	// 4. vCPU contexts, threads and run-call mailboxes.
 	vm.wakeup = n.wakeupThreadFor(a.HostCore)
 	for i := 0; i < vcpus; i++ {
-		rec, err := n.Mon.RecCreate(realm, n.allocGranule())
-		if err != nil {
+		recPA := n.allocGranule()
+		if err := n.rmi(smc.RMIRecCreate, uint64(rd), uint64(recPA)); err != nil {
 			return err
 		}
 		v := newVCPU(vm, i, a.GuestCores[i])
-		v.rec = rec
+		v.recPA = recPA
+		v.rec = n.Mon.Rec(recPA)
 		v.mb = rpc.NewMailbox(n.Eng, fmt.Sprintf("%s/vcpu%d", vm.name, i))
 		// vCPU threads run FIFO so they preempt VMM threads when woken
 		// (§4.3); the busy-wait ablation uses yield-polling normal
@@ -214,7 +218,7 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 			class, a.HostCore)
 		vm.vcpus = append(vm.vcpus, v)
 	}
-	if err := n.Mon.Activate(realm); err != nil {
+	if err := n.rmi(smc.RMIRealmActivate, uint64(rd)); err != nil {
 		return err
 	}
 
@@ -223,7 +227,9 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 	for _, v := range vm.vcpus {
 		v := v
 		err := n.Kern.OfflineCore(v.dcore, func() {
-			n.Mon.DedicateCore(v.dcore)
+			// Only an id the machine lacks fails, and the planner's
+			// cores are the machine's.
+			_ = n.rmi(smc.RMICoreDedicate, uint64(v.dcore))
 			v.installRMMCoreHandler()
 			v.postRunCall()
 		})
@@ -354,11 +360,11 @@ func (n *Node) StopVM(vm *VM) error {
 		v.shutdown()
 	}
 	if vm.realm != nil {
-		if err := n.Mon.Destroy(vm.realm); err != nil {
+		if err := n.rmi(smc.RMIRealmDestroy, uint64(vm.rd)); err != nil {
 			return err
 		}
 		for _, c := range vm.assign.guestCores {
-			if err := n.Mon.ReclaimCore(c); err != nil {
+			if err := n.rmi(smc.RMICoreReclaim, uint64(c)); err != nil {
 				return err
 			}
 			if err := n.Kern.OnlineCore(c); err != nil {

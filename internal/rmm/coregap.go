@@ -14,12 +14,12 @@ import (
 //	    on that core.
 //
 // Property (a) is CheckEnter; property (b) follows because a dedicated
-// core's interrupt handler is the monitor's and ReclaimCore refuses to
+// core's interrupt handler is the monitor's and reclaimCore refuses to
 // return a core with live bindings.
 
-// DedicateCore registers a core the host has hotplugged out and handed to
+// dedicateCore registers a core the host has hotplugged out and handed to
 // realm world. Called from the host's modified hotplug path.
-func (m *Monitor) DedicateCore(id hw.CoreID) {
+func (m *Monitor) dedicateCore(id hw.CoreID) {
 	m.dedicated[id] = true
 	m.count(cCoreDedicate)
 }
@@ -30,10 +30,10 @@ func (m *Monitor) IsDedicated(id hw.CoreID) bool { return m.dedicated[id] }
 // DedicatedCount reports how many cores the monitor controls.
 func (m *Monitor) DedicatedCount() int { return len(m.dedicated) }
 
-// ReclaimCore returns a core to the host. It fails while any live REC is
+// reclaimCore returns a core to the host. It fails while any live REC is
 // bound to the core — the host cannot repossess a CVM's core before
 // destroying the CVM (§4.2).
-func (m *Monitor) ReclaimCore(id hw.CoreID) error {
+func (m *Monitor) reclaimCore(id hw.CoreID) error {
 	if !m.dedicated[id] {
 		return ErrCoreNotDedicated
 	}
@@ -103,14 +103,14 @@ func (m *Monitor) NoteExit(rec *REC) {
 // BoundRec reports the REC bound to a core (nil when none).
 func (m *Monitor) BoundRec(core hw.CoreID) *REC { return m.bindings[core] }
 
-// RebindRec migrates a vCPU's core binding to another dedicated core —
+// rebindRec migrates a vCPU's core binding to another dedicated core —
 // the coarse-timescale rebinding §3 defers to future work, implemented in
 // the monitor so the host can request but never force it. The security
 // property (b) of §3 is preserved: the old core's microarchitectural
 // state is wiped by the monitor before the binding is released, so
 // whatever runs there next (another CVM after reclaim, or the host)
 // finds no residue.
-func (m *Monitor) RebindRec(rec *REC, to hw.CoreID) error {
+func (m *Monitor) rebindRec(rec *REC, to hw.CoreID) error {
 	if !m.cfg.CoreGapped {
 		return ErrCoreNotDedicated
 	}

@@ -11,9 +11,11 @@
 //   - delegated interrupt management (virtual timer and virtual IPIs
 //     emulated in the monitor, §4.4).
 //
-// The monitor is control plane: guest execution itself is driven by the
-// core-gapping orchestrator (package core), which consults the monitor
-// for every validation the real RMM would perform.
+// The host reaches the monitor only through Handle, the RMI's SMC entry,
+// with register-valued handles. Guest execution itself is driven by the
+// core-gapping orchestrator (package core), whose dedicated-core entry
+// path consults the monitor for every validation the real RMM would
+// perform (CheckEnter, NoteEnter, NoteExit).
 package rmm
 
 import (
@@ -67,7 +69,6 @@ func (s RealmState) String() string {
 // RealmParams are host-provided construction parameters, validated and
 // then measured into the RIM.
 type RealmParams struct {
-	Name    string
 	VCPUs   int
 	IPASize uint // bits of guest physical address space
 	Flags   uint64
@@ -97,14 +98,8 @@ func (r *Realm) State() RealmState { return r.state }
 // Params reports the construction parameters.
 func (r *Realm) Params() RealmParams { return r.params }
 
-// RTT reports the realm's stage-2 tree.
-func (r *Realm) RTT() *granule.Tree { return r.rtt }
-
 // Ledger reports the realm's measurement ledger.
 func (r *Realm) Ledger() *attest.Ledger { return &r.ledger }
-
-// RECs reports the realm's vCPU contexts.
-func (r *Realm) RECs() []*REC { return r.recs }
 
 // RECState is a vCPU context's lifecycle state.
 type RECState int
@@ -194,7 +189,10 @@ type Monitor struct {
 	gpt  *granule.Table
 	cfg  Config
 
-	realms    map[granule.RealmID]*Realm
+	// realms and recs are the handle registry: the RMI names a realm by
+	// its RD granule's PA and a vCPU by its REC granule's PA.
+	realms    map[granule.PA]*Realm
+	recs      map[granule.PA]*REC
 	nextRealm granule.RealmID
 	nextGuest int
 
@@ -213,7 +211,8 @@ func New(mach *hw.Machine, cfg Config) *Monitor {
 		mach:         mach,
 		gpt:          mach.GPT(),
 		cfg:          cfg,
-		realms:       make(map[granule.RealmID]*Realm),
+		realms:       make(map[granule.PA]*Realm),
+		recs:         make(map[granule.PA]*REC),
 		nextRealm:    1,
 		bindings:     make(map[hw.CoreID]*REC),
 		dedicated:    make(map[hw.CoreID]bool),
@@ -227,10 +226,16 @@ func (m *Monitor) Config() Config { return m.cfg }
 
 func (m *Monitor) count(id sim.CounterID) { m.mach.Engine().Count(id) }
 
-// RealmCreate validates parameters, claims the RD granule, and builds the
+// Realm resolves an RD handle (nil when unknown or destroyed).
+func (m *Monitor) Realm(rd granule.PA) *Realm { return m.realms[rd] }
+
+// Rec resolves a REC handle (nil when unknown or destroyed).
+func (m *Monitor) Rec(pa granule.PA) *REC { return m.recs[pa] }
+
+// realmCreate validates parameters, claims the RD granule, and builds the
 // realm with an empty stage-2 tree rooted at rttRoot (both PAs must be in
 // Delegated state).
-func (m *Monitor) RealmCreate(params RealmParams, rd, rttRoot granule.PA) (*Realm, error) {
+func (m *Monitor) realmCreate(params RealmParams, rd, rttRoot granule.PA) (*Realm, error) {
 	if params.VCPUs <= 0 || params.VCPUs > m.mach.NumCores() {
 		return nil, fmt.Errorf("rmi: invalid vcpu count %d", params.VCPUs)
 	}
@@ -253,18 +258,18 @@ func (m *Monitor) RealmCreate(params RealmParams, rd, rttRoot granule.PA) (*Real
 		rd:     rd,
 		rtt:    rtt,
 	}
-	r.ledger.ExtendRIM([]byte(fmt.Sprintf("realm:%s vcpus:%d ipa:%d flags:%d",
-		params.Name, params.VCPUs, params.IPASize, params.Flags)))
+	r.ledger.ExtendRIM([]byte(fmt.Sprintf("realm vcpus:%d ipa:%d flags:%d",
+		params.VCPUs, params.IPASize, params.Flags)))
 	m.nextRealm++
 	m.nextGuest++
-	m.realms[id] = r
+	m.realms[rd] = r
 	m.count(cRealmCreate)
 	return r, nil
 }
 
-// RecCreate adds a vCPU context backed by the Delegated granule at pa.
+// recCreate adds a vCPU context backed by the Delegated granule at pa.
 // Creation order is measured (the RIM covers vCPU configuration).
-func (m *Monitor) RecCreate(r *Realm, pa granule.PA) (*REC, error) {
+func (m *Monitor) recCreate(r *Realm, pa granule.PA) (*REC, error) {
 	if r.state != RealmNew {
 		return nil, ErrRealmState
 	}
@@ -276,28 +281,30 @@ func (m *Monitor) RecCreate(r *Realm, pa granule.PA) (*REC, error) {
 	}
 	rec := &REC{realm: r, idx: len(r.recs), pa: pa, bound: hw.NoCore}
 	r.recs = append(r.recs, rec)
+	m.recs[pa] = rec
 	r.ledger.ExtendRIM([]byte(fmt.Sprintf("rec:%d", rec.idx)))
 	m.count(cRECCreate)
 	return rec, nil
 }
 
-// DataCreate maps guest memory: claims the Delegated granule at pa as
-// realm data at ipa and measures the (modelled) initial contents.
-func (m *Monitor) DataCreate(r *Realm, ipa granule.IPA, pa granule.PA, contents []byte) error {
+// dataCreate maps guest memory: claims the Delegated granule at pa as
+// realm data at ipa. Before activation the mapping's IPA is measured:
+// the RIM covers what crosses the ABI, and page contents do not.
+func (m *Monitor) dataCreate(r *Realm, ipa granule.IPA, pa granule.PA) error {
 	if r.state == RealmDestroyed {
 		return ErrBadRealm
 	}
 	if err := r.rtt.MapProtected(ipa, pa); err != nil {
 		return err
 	}
-	if r.state == RealmNew && contents != nil {
-		r.ledger.ExtendRIM(contents)
+	if r.state == RealmNew {
+		r.ledger.ExtendRIM([]byte(fmt.Sprintf("data ipa:%#x", uint64(ipa))))
 	}
 	return nil
 }
 
-// Activate seals the realm's measurements and permits execution.
-func (m *Monitor) Activate(r *Realm) error {
+// activate seals the realm's measurements and permits execution.
+func (m *Monitor) activate(r *Realm) error {
 	if r.state != RealmNew {
 		return ErrRealmState
 	}
@@ -307,26 +314,29 @@ func (m *Monitor) Activate(r *Realm) error {
 	return nil
 }
 
-// Destroy tears the realm down: all RECs are destroyed, bindings
-// released, and granules scrubbed back to Delegated.
-func (m *Monitor) Destroy(r *Realm) error {
+// destroy tears the realm down: all RECs are destroyed, bindings
+// released, granules scrubbed back to Delegated, and the realm's handles
+// retired.
+func (m *Monitor) destroy(r *Realm) error {
 	if r.state == RealmDestroyed {
 		return ErrBadRealm
 	}
 	for _, rec := range r.recs {
 		if rec.state != RecDestroyed {
-			m.RecDestroy(rec)
+			m.recDestroy(rec)
 		}
 	}
+	delete(m.realms, r.rd)
 	m.gpt.Release(r.rd, r.id)
 	r.state = RealmDestroyed
 	m.count(cRealmDestroy)
 	return nil
 }
 
-// RecDestroy retires a vCPU context and releases its core binding; the
-// host may reclaim the core once no REC is bound to it (§4.2).
-func (m *Monitor) RecDestroy(rec *REC) error {
+// recDestroy retires a vCPU context and its handle and releases its core
+// binding; the host may reclaim the core once no REC is bound to it
+// (§4.2).
+func (m *Monitor) recDestroy(rec *REC) error {
 	if rec.state == RecDestroyed {
 		return ErrBadRec
 	}
@@ -334,6 +344,7 @@ func (m *Monitor) RecDestroy(rec *REC) error {
 		delete(m.bindings, rec.bound)
 		rec.bound = hw.NoCore
 	}
+	delete(m.recs, rec.pa)
 	m.gpt.Release(rec.pa, rec.realm.id)
 	rec.state = RecDestroyed
 	m.count(cRECDestroy)

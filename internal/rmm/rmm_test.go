@@ -37,7 +37,7 @@ func (f *fixture) alloc(t *testing.T) granule.PA {
 
 func (f *fixture) newRealm(t *testing.T, vcpus int) *Realm {
 	t.Helper()
-	r, err := f.m.RealmCreate(RealmParams{Name: "r", VCPUs: vcpus, IPASize: 40},
+	r, err := f.m.realmCreate(RealmParams{VCPUs: vcpus, IPASize: 40},
 		f.alloc(t), f.alloc(t))
 	if err != nil {
 		t.Fatal(err)
@@ -55,38 +55,38 @@ func TestRealmLifecycle(t *testing.T) {
 		t.Fatal("realm domain must be a guest domain")
 	}
 
-	rec0, err := f.m.RecCreate(r, f.alloc(t))
+	rec0, err := f.m.recCreate(r, f.alloc(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec1, err := f.m.RecCreate(r, f.alloc(t))
+	rec1, err := f.m.recCreate(r, f.alloc(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.m.RecCreate(r, f.alloc(t)); err == nil {
+	if _, err := f.m.recCreate(r, f.alloc(t)); err == nil {
 		t.Fatal("over-provisioned rec accepted")
 	}
 	if rec0.Index() != 0 || rec1.Index() != 1 {
 		t.Fatal("rec indices")
 	}
 
-	if err := f.m.Activate(r); err != nil {
+	if err := f.m.activate(r); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.m.Activate(r); !errors.Is(err, ErrRealmState) {
+	if err := f.m.activate(r); !errors.Is(err, ErrRealmState) {
 		t.Fatalf("double activate: %v", err)
 	}
-	if _, err := f.m.RecCreate(r, f.alloc(t)); !errors.Is(err, ErrRealmState) {
+	if _, err := f.m.recCreate(r, f.alloc(t)); !errors.Is(err, ErrRealmState) {
 		t.Fatalf("rec create after activate: %v", err)
 	}
 
-	if err := f.m.Destroy(r); err != nil {
+	if err := f.m.destroy(r); err != nil {
 		t.Fatal(err)
 	}
 	if r.State() != RealmDestroyed || rec0.State() != RecDestroyed {
 		t.Fatal("destroy did not cascade")
 	}
-	if err := f.m.Destroy(r); !errors.Is(err, ErrBadRealm) {
+	if err := f.m.destroy(r); !errors.Is(err, ErrBadRealm) {
 		t.Fatalf("double destroy: %v", err)
 	}
 }
@@ -94,14 +94,14 @@ func TestRealmLifecycle(t *testing.T) {
 func TestRealmCreateValidation(t *testing.T) {
 	f := newFixture(t, Config{})
 	// Zero or absurd vCPU counts rejected.
-	if _, err := f.m.RealmCreate(RealmParams{VCPUs: 0}, f.alloc(t), f.alloc(t)); err == nil {
+	if _, err := f.m.realmCreate(RealmParams{VCPUs: 0}, f.alloc(t), f.alloc(t)); err == nil {
 		t.Fatal("0 vcpus accepted")
 	}
-	if _, err := f.m.RealmCreate(RealmParams{VCPUs: 999}, f.alloc(t), f.alloc(t)); err == nil {
+	if _, err := f.m.realmCreate(RealmParams{VCPUs: 999}, f.alloc(t), f.alloc(t)); err == nil {
 		t.Fatal("999 vcpus accepted")
 	}
 	// Undelegated granules rejected.
-	if _, err := f.m.RealmCreate(RealmParams{VCPUs: 1}, granule.PA(1<<30), f.alloc(t)); err == nil {
+	if _, err := f.m.realmCreate(RealmParams{VCPUs: 1}, granule.PA(1<<30), f.alloc(t)); err == nil {
 		t.Fatal("undelegated RD accepted")
 	}
 }
@@ -120,13 +120,17 @@ func TestDataCreateMeasuresOnlyBeforeActivation(t *testing.T) {
 	r := f.newRealm(t, 1)
 	buildRTT(t, f, r, 0x8000_0000)
 
-	if err := f.m.DataCreate(r, 0x8000_0000, f.alloc(t), []byte("boot code")); err != nil {
+	rimEmpty := r.Ledger().RIM()
+	if err := f.m.dataCreate(r, 0x8000_0000, f.alloc(t)); err != nil {
 		t.Fatal(err)
 	}
 	rimBefore := r.Ledger().RIM()
-	f.m.Activate(r)
+	if rimBefore == rimEmpty {
+		t.Fatal("pre-activation DataCreate left the RIM unchanged")
+	}
+	f.m.activate(r)
 	// Post-activation data (host-initiated demand paging) is not measured.
-	if err := f.m.DataCreate(r, 0x8000_0000+granule.Size, f.alloc(t), []byte("later")); err != nil {
+	if err := f.m.dataCreate(r, 0x8000_0000+granule.Size, f.alloc(t)); err != nil {
 		t.Fatal(err)
 	}
 	if r.Ledger().RIM() != rimBefore {
@@ -137,7 +141,7 @@ func TestDataCreateMeasuresOnlyBeforeActivation(t *testing.T) {
 func buildRTT(t *testing.T, f *fixture, r *Realm, ipa granule.IPA) {
 	t.Helper()
 	for level := 1; level <= 3; level++ {
-		if err := r.RTT().CreateTable(ipa, level, f.alloc(t)); err != nil {
+		if err := r.rtt.CreateTable(ipa, level, f.alloc(t)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,8 +150,8 @@ func buildRTT(t *testing.T, f *fixture, r *Realm, ipa granule.IPA) {
 func TestCheckEnterBaselineAllowsAnyCore(t *testing.T) {
 	f := newFixture(t, Config{CoreGapped: false})
 	r := f.newRealm(t, 1)
-	rec, _ := f.m.RecCreate(r, f.alloc(t))
-	f.m.Activate(r)
+	rec, _ := f.m.recCreate(r, f.alloc(t))
+	f.m.activate(r)
 	// Baseline CCA: any core, including migration, is fine.
 	if err := f.m.CheckEnter(rec, 0); err != nil {
 		t.Fatal(err)
@@ -163,7 +167,7 @@ func TestCheckEnterBaselineAllowsAnyCore(t *testing.T) {
 func TestCheckEnterRequiresActivation(t *testing.T) {
 	f := newFixture(t, Config{})
 	r := f.newRealm(t, 1)
-	rec, _ := f.m.RecCreate(r, f.alloc(t))
+	rec, _ := f.m.recCreate(r, f.alloc(t))
 	if err := f.m.CheckEnter(rec, 0); !errors.Is(err, ErrNotActive) {
 		t.Fatalf("enter before activation: %v", err)
 	}
@@ -172,16 +176,16 @@ func TestCheckEnterRequiresActivation(t *testing.T) {
 func TestCoreGappedBindingEnforcement(t *testing.T) {
 	f := newFixture(t, Config{CoreGapped: true})
 	r := f.newRealm(t, 2)
-	rec0, _ := f.m.RecCreate(r, f.alloc(t))
-	rec1, _ := f.m.RecCreate(r, f.alloc(t))
-	f.m.Activate(r)
+	rec0, _ := f.m.recCreate(r, f.alloc(t))
+	rec1, _ := f.m.recCreate(r, f.alloc(t))
+	f.m.activate(r)
 
 	// Entering on a non-dedicated core fails.
 	if err := f.m.CheckEnter(rec0, 3); !errors.Is(err, ErrCoreNotDedicated) {
 		t.Fatalf("enter on host core: %v", err)
 	}
-	f.m.DedicateCore(3)
-	f.m.DedicateCore(4)
+	f.m.dedicateCore(3)
+	f.m.dedicateCore(4)
 
 	// First entry binds.
 	if err := f.m.CheckEnter(rec0, 3); err != nil {
@@ -212,13 +216,13 @@ func TestCrossRealmCoSchedulingBlocked(t *testing.T) {
 	// victim's core. The monitor must refuse.
 	f := newFixture(t, Config{CoreGapped: true})
 	victim := f.newRealm(t, 1)
-	vrec, _ := f.m.RecCreate(victim, f.alloc(t))
-	f.m.Activate(victim)
+	vrec, _ := f.m.recCreate(victim, f.alloc(t))
+	f.m.activate(victim)
 	attacker := f.newRealm(t, 1)
-	arec, _ := f.m.RecCreate(attacker, f.alloc(t))
-	f.m.Activate(attacker)
+	arec, _ := f.m.recCreate(attacker, f.alloc(t))
+	f.m.activate(attacker)
 
-	f.m.DedicateCore(2)
+	f.m.dedicateCore(2)
 	if err := f.m.CheckEnter(vrec, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -230,28 +234,28 @@ func TestCrossRealmCoSchedulingBlocked(t *testing.T) {
 func TestReclaimProtocol(t *testing.T) {
 	f := newFixture(t, Config{CoreGapped: true})
 	r := f.newRealm(t, 1)
-	rec, _ := f.m.RecCreate(r, f.alloc(t))
-	f.m.Activate(r)
-	f.m.DedicateCore(5)
+	rec, _ := f.m.recCreate(r, f.alloc(t))
+	f.m.activate(r)
+	f.m.dedicateCore(5)
 	if err := f.m.CheckEnter(rec, 5); err != nil {
 		t.Fatal(err)
 	}
 	// Host cannot reclaim a core with a live binding.
-	if err := f.m.ReclaimCore(5); !errors.Is(err, ErrCoreBusy) {
+	if err := f.m.reclaimCore(5); !errors.Is(err, ErrCoreBusy) {
 		t.Fatalf("reclaim of bound core: %v", err)
 	}
 	// Destroying the realm releases bindings; reclaim then succeeds.
-	if err := f.m.Destroy(r); err != nil {
+	if err := f.m.destroy(r); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.m.ReclaimCore(5); err != nil {
+	if err := f.m.reclaimCore(5); err != nil {
 		t.Fatal(err)
 	}
 	if f.m.IsDedicated(5) {
 		t.Fatal("core still dedicated after reclaim")
 	}
 	// Reclaiming a never-dedicated core fails.
-	if err := f.m.ReclaimCore(7); !errors.Is(err, ErrCoreNotDedicated) {
+	if err := f.m.reclaimCore(7); !errors.Is(err, ErrCoreNotDedicated) {
 		t.Fatalf("reclaim of host core: %v", err)
 	}
 }
@@ -259,13 +263,13 @@ func TestReclaimProtocol(t *testing.T) {
 func TestEnterAfterRecDestroy(t *testing.T) {
 	f := newFixture(t, Config{CoreGapped: true})
 	r := f.newRealm(t, 1)
-	rec, _ := f.m.RecCreate(r, f.alloc(t))
-	f.m.Activate(r)
-	f.m.DedicateCore(1)
+	rec, _ := f.m.recCreate(r, f.alloc(t))
+	f.m.activate(r)
+	f.m.dedicateCore(1)
 	if err := f.m.CheckEnter(rec, 1); err != nil {
 		t.Fatal(err)
 	}
-	f.m.RecDestroy(rec)
+	f.m.recDestroy(rec)
 	if err := f.m.CheckEnter(rec, 1); !errors.Is(err, ErrBadRec) {
 		t.Fatalf("enter of destroyed rec: %v", err)
 	}
@@ -274,8 +278,8 @@ func TestEnterAfterRecDestroy(t *testing.T) {
 func TestEnterExitAccounting(t *testing.T) {
 	f := newFixture(t, Config{})
 	r := f.newRealm(t, 1)
-	rec, _ := f.m.RecCreate(r, f.alloc(t))
-	f.m.Activate(r)
+	rec, _ := f.m.recCreate(r, f.alloc(t))
+	f.m.activate(r)
 	f.m.NoteEnter(rec)
 	if rec.State() != RecRunning || rec.Enters() != 1 {
 		t.Fatal("enter accounting")
@@ -293,7 +297,7 @@ func TestAttestationCoreGapClaim(t *testing.T) {
 		if _, err := f.m.Token(r, [32]byte{}); !errors.Is(err, ErrNotActive) {
 			t.Fatalf("token before activation: %v", err)
 		}
-		f.m.Activate(r)
+		f.m.activate(r)
 		tok, err := f.m.Token(r, [32]byte{1})
 		if err != nil {
 			t.Fatal(err)
@@ -321,14 +325,14 @@ func TestGranuleAccountingAcrossLifecycle(t *testing.T) {
 	gpt := f.mach.GPT()
 	base := gpt.CountIn(granule.Delegated)
 	r := f.newRealm(t, 1)
-	rec, _ := f.m.RecCreate(r, f.alloc(t))
+	rec, _ := f.m.recCreate(r, f.alloc(t))
 	_ = rec
 	buildRTT(t, f, r, 0)
-	if err := f.m.DataCreate(r, 0, f.alloc(t), []byte("x")); err != nil {
+	if err := f.m.dataCreate(r, 0, f.alloc(t)); err != nil {
 		t.Fatal(err)
 	}
-	f.m.Activate(r)
-	f.m.Destroy(r)
+	f.m.activate(r)
+	f.m.destroy(r)
 	// After destroy: RD, REC, Data granules released back to Delegated;
 	// RTT table granules remain claimed by the tree in this model (the
 	// host undelegates them during full teardown).

@@ -1,7 +1,6 @@
 // Package smc models the secure monitor call ABI through which the host
-// reaches the security monitor (SMCCC [7] in the paper) — the realm
-// management interface (RMI) — and the realm services interface (RSI)
-// through which guests call it. Function identifiers and status codes
+// reaches the security monitor (SMCCC [7] in the paper): the realm
+// management interface (RMI). Function identifiers and status codes
 // follow the RMM specification's conventions; the core-gapping prototype
 // explicitly does NOT change this ABI (§4.1: "We did not change the APIs
 // that the RMM exposes to either host or guests"), it only changes the
@@ -12,8 +11,8 @@ package smc
 import "fmt"
 
 // FID is an SMC function identifier (fast call, 64-bit convention,
-// standard secure service range for RMI; the two core-gapping additions
-// sit in the vendor-specific range).
+// standard secure service range for RMI; the core-gapping additions sit
+// in the vendor-specific range).
 type FID uint32
 
 // RMI function IDs (host → monitor).
@@ -37,20 +36,11 @@ const (
 
 	// Core-gapping extensions (vendor range): the host's hotplug path
 	// hands a core to the monitor; the planner reclaims it after the
-	// CVM is destroyed (§4.2).
+	// CVM is destroyed (§4.2), and may ask the monitor to move a vCPU's
+	// binding to another dedicated core (§3's rebinding).
 	RMICoreDedicate FID = 0xC4000170
 	RMICoreReclaim  FID = 0xC4000171
-)
-
-// RSI function IDs (guest → monitor).
-const (
-	RSIVersion           FID = 0xC4000190
-	RSIRealmConfig       FID = 0xC4000196
-	RSIMeasurementExtend FID = 0xC4000193
-	RSIAttestTokenInit   FID = 0xC4000194
-	RSIAttestTokenCont   FID = 0xC4000195
-	RSIIPAStateSet       FID = 0xC4000197
-	RSIHostCall          FID = 0xC4000199
+	RMICoreRebind   FID = 0xC4000172
 )
 
 func (f FID) String() string {
@@ -70,13 +60,10 @@ var fidNames = map[FID]string{
 	RMIRttCreate: "RMI_RTT_CREATE", RMIRttDestroy: "RMI_RTT_DESTROY",
 	RMIRttMapUnprotected: "RMI_RTT_MAP_UNPROTECTED", RMIFeatures: "RMI_FEATURES",
 	RMICoreDedicate: "RMI_COREGAP_DEDICATE", RMICoreReclaim: "RMI_COREGAP_RECLAIM",
-	RSIVersion: "RSI_VERSION", RSIRealmConfig: "RSI_REALM_CONFIG",
-	RSIMeasurementExtend: "RSI_MEASUREMENT_EXTEND", RSIAttestTokenInit: "RSI_ATTEST_TOKEN_INIT",
-	RSIAttestTokenCont: "RSI_ATTEST_TOKEN_CONTINUE", RSIIPAStateSet: "RSI_IPA_STATE_SET",
-	RSIHostCall: "RSI_HOST_CALL",
+	RMICoreRebind: "RMI_COREGAP_REBIND",
 }
 
-// Status is an RMI/RSI return code.
+// Status is an RMI return code.
 type Status uint64
 
 // Status codes, mirroring the specification's error classes.
@@ -133,14 +120,3 @@ func Ok1(v uint64) Result { return Result{Status: StatusSuccess, Vals: [3]uint64
 
 // Err is a bare error result.
 func Err(s Status) Result { return Result{Status: s} }
-
-// Handler services SMC calls (the monitor's host- or guest-facing entry).
-type Handler interface {
-	Handle(c Call) Result
-}
-
-// HandlerFunc adapts a function to Handler.
-type HandlerFunc func(Call) Result
-
-// Handle implements Handler.
-func (f HandlerFunc) Handle(c Call) Result { return f(c) }

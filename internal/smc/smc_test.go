@@ -4,10 +4,10 @@ import "testing"
 
 func TestFIDNames(t *testing.T) {
 	cases := map[FID]string{
-		RMIVersion:         "RMI_VERSION",
-		RMIRecEnter:        "RMI_REC_ENTER",
-		RMICoreDedicate:    "RMI_COREGAP_DEDICATE",
-		RSIAttestTokenInit: "RSI_ATTEST_TOKEN_INIT",
+		RMIVersion:      "RMI_VERSION",
+		RMIRecEnter:     "RMI_REC_ENTER",
+		RMICoreDedicate: "RMI_COREGAP_DEDICATE",
+		RMICoreRebind:   "RMI_COREGAP_REBIND",
 	}
 	for fid, want := range cases {
 		if fid.String() != want {
@@ -27,12 +27,9 @@ func TestFIDRanges(t *testing.T) {
 			t.Errorf("%v outside RMI range", fid)
 		}
 	}
-	if RMICoreDedicate < 0xC4000170 || RMICoreReclaim < 0xC4000170 {
-		t.Error("core-gap FIDs must not collide with the spec range")
-	}
-	for _, fid := range []FID{RSIVersion, RSIHostCall, RSIAttestTokenInit} {
-		if fid < 0xC4000190 {
-			t.Errorf("%v outside RSI range", fid)
+	for _, fid := range []FID{RMICoreDedicate, RMICoreReclaim, RMICoreRebind} {
+		if fid < 0xC4000170 {
+			t.Errorf("%v collides with the spec range", fid)
 		}
 	}
 }
@@ -63,20 +60,5 @@ func TestResultHelpers(t *testing.T) {
 	}
 	if Err(StatusErrorRec).Status != StatusErrorRec {
 		t.Error("Err")
-	}
-}
-
-func TestHandlerFunc(t *testing.T) {
-	h := HandlerFunc(func(c Call) Result {
-		if c.FID == RMIVersion {
-			return Ok1(99)
-		}
-		return Err(StatusErrorUnknown)
-	})
-	if r := h.Handle(Call{FID: RMIVersion}); r.Vals[0] != 99 {
-		t.Error("handler dispatch")
-	}
-	if r := h.Handle(Call{FID: RMIRecEnter}); r.Status != StatusErrorUnknown {
-		t.Error("handler default")
 	}
 }

@@ -40,7 +40,6 @@ var reasons = map[string]bool{
 	"knob":      true, // a setter tests configure a model through
 	"reference": true, // an implementation tests compare live code against
 	"api":       true, // a root-package (coregap) entry point
-	"item8":     true, // RMI/RSI ABI, gic.ListRegs, granule RTT (ROADMAP item 8)
 }
 
 // decl is one func declaration: its symbol key (receiver type and name

@@ -112,7 +112,7 @@ func TestGate(t *testing.T) {
 		{"unlisted dead fails", map[string]string{"sim.Engine.Kept": "accessor"},
 			[]string{"internal/sim/sim.go:3: sim.Engine.Dead is reached by no binary and not listed"}},
 		{"stale lines fail", map[string]string{"sim.Engine.Kept": "accessor", "sim.Engine.Dead": "knob",
-			"sim.Live": "api", "sim.Gone": "item8"},
+			"sim.Live": "api", "sim.Gone": "reference"},
 			[]string{"sim.Live is listed but now reached", "sim.Gone is listed but not declared"}},
 	} {
 		if got := gate(decls, reached, tc.allow); fmt.Sprint(got) != fmt.Sprint(tc.want) {
