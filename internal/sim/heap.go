@@ -1,7 +1,7 @@
 package sim
 
-// The 4-ary min-heap is the engine's pending-event queue, ordered by
-// (at, seq) so same-instant events fire FIFO. It replaces container/heap
+// The engine's pending-event queue is two 4-ary min-heaps, ordered by
+// (at, seq) so same-instant events fire FIFO. The heap replaces container/heap
 // to keep the hot path free of interface boxing and indirect Less/Swap
 // calls: tens of millions of events flow through push/pop per benchsuite
 // run, and the comparison is two integer compares that the compiler can
@@ -11,6 +11,10 @@ package sim
 // scans up to four children per level, but those nodes share at most
 // two cache lines, so the trade wins on the pop-heavy workload of a
 // discrete-event simulator.
+//
+// The queue keeps what is near apart from what is far (queue, below):
+// the two-tier idea of Tang, Goh and Thng's ladder queue (ACM TOMACS
+// 2005) in its simplest form.
 //
 // Fired and cancelled nodes are recycled through an engine-owned free
 // list rather than garbage: in steady state At/After allocate nothing.
@@ -24,6 +28,7 @@ type event struct {
 	seq   uint64
 	gen   uint32 // bumped every time the node is recycled
 	index int32  // heap position, -1 while not queued
+	far   bool   // queued in the far tier
 	fn    func()
 	label string
 }
@@ -59,7 +64,65 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// heapQueue is the 4-ary min-heap. push/pop/remove allocate nothing in
+// farHorizon splits the queue: an event due more than farHorizon after
+// the clock at the time it is queued waits in the far tier. The models'
+// fires are dominated by deltas far below it (sub-µs IPI, world-switch
+// and execution slices, the 5 µs tick), while each gapped vCPU's
+// residual-exit timers (exponential, 19–189 ms means) are half of what
+// fig6 -full keeps pending and fire 0.9% of its events; with those apart,
+// a pop sifts through the few near events only. Measured with
+// bench/run.sh, values from 10 µs to 1 ms could not be told apart, so the
+// value is not tuned.
+const farHorizon = 50 * Microsecond
+
+// queue is the engine's pending set: a near and a far heap. An event
+// stays in the tier it was queued in (it never migrates), and peek and
+// pop compare the two tops with less, so the (at, seq) order is exactly
+// that of one heap; the split only makes the near heap, where nearly all
+// the pops happen, shallow.
+type queue struct {
+	near, far heapQueue
+}
+
+func (q *queue) len() int { return len(q.near.h) + len(q.far.h) }
+
+// peek reports the earliest queued node, or nil when empty.
+func (q *queue) peek() *event {
+	n, f := q.near.peek(), q.far.peek()
+	if f != nil && (n == nil || less(f, n)) {
+		return f
+	}
+	return n
+}
+
+// push queues ev in its tier, given the clock now.
+func (q *queue) push(ev *event, now Time) {
+	ev.far = ev.at-now > Time(farHorizon)
+	if ev.far {
+		q.far.push(ev)
+	} else {
+		q.near.push(ev)
+	}
+}
+
+// popTop removes top, the node peek just reported.
+func (q *queue) popTop(top *event) *event {
+	if top.far {
+		return q.far.pop()
+	}
+	return q.near.pop()
+}
+
+// remove unlinks a queued node (cancellation) from its tier.
+func (q *queue) remove(ev *event) {
+	if ev.far {
+		q.far.remove(ev)
+	} else {
+		q.near.remove(ev)
+	}
+}
+
+// heapQueue is one tier's 4-ary min-heap. push/pop/remove allocate nothing in
 // steady state, and the backing array is kept across Engine.Reset so a
 // pooled engine reaches steady state with no per-trial allocation.
 type heapQueue struct {

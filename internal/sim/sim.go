@@ -107,8 +107,8 @@ func (e Event) Pending() bool { return e.valid() && e.n.index != -1 }
 type Engine struct {
 	now     Time
 	seq     uint64
-	q       heapQueue // pending events (heap.go)
-	free    []*event  // recycled nodes; At/After allocate nothing in steady state
+	q       queue    // pending events (heap.go)
+	free    []*event // recycled nodes; At/After allocate nothing in steady state
 	seed    uint64
 	sources map[string]*Source
 
@@ -134,7 +134,7 @@ func NewEngine(seed uint64) *Engine {
 }
 
 // Reset rewinds the engine to its just-constructed state for a new seed
-// while keeping every backing allocation: the heap's array, the node
+// while keeping every backing allocation: both tiers' arrays, the node
 // free list, and all named sources (reseeded in place, so holders of a
 // *Source keep a valid pointer to the fresh deterministic stream). A
 // pooled engine therefore reaches steady state with no per-trial
@@ -145,11 +145,13 @@ func NewEngine(seed uint64) *Engine {
 // Events still queued are discarded; their handles are invalidated by
 // the generation bump exactly as if they had been cancelled.
 func (e *Engine) Reset(seed uint64) {
-	for _, ev := range e.q.h {
-		ev.index = -1
-		e.recycle(ev)
+	for _, tier := range [...]*heapQueue{&e.q.near, &e.q.far} {
+		for _, ev := range tier.h {
+			ev.index = -1
+			e.recycle(ev)
+		}
+		tier.h = tier.h[:0]
 	}
-	e.q.h = e.q.h[:0]
 	e.now = 0
 	e.seq = 0
 	e.seed = seed
@@ -257,7 +259,7 @@ func (e *Engine) queue(t Time, seq uint64, label string, fn func()) Event {
 	ev.seq = seq
 	ev.fn = fn
 	ev.label = label
-	e.q.push(ev)
+	e.q.push(ev, e.now)
 	if e.trc != nil {
 		e.trc.EmitDetail(TCEngine, "sched", label, LaneGlobal, int64(ev.seq))
 	}
@@ -291,17 +293,15 @@ func (e *Engine) Cancel(ev Event) {
 // Step executes the next queued event, or the chain events before it,
 // advancing the clock. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	if e.chainAt != Forever {
-		if m := e.q.peek(); e.chainDue(m) {
-			e.fireChain(m, Forever, math.MaxUint64)
-			return true
-		}
+	m := e.q.peek()
+	if e.chainAt != Forever && e.chainDue(m) {
+		e.fireChain(m, Forever, math.MaxUint64)
+		return true
 	}
-	ev := e.q.pop()
-	if ev == nil {
+	if m == nil {
 		return false
 	}
-	e.fire(ev)
+	e.fire(e.q.popTop(m))
 	return true
 }
 
@@ -343,7 +343,7 @@ func (e *Engine) RunUntil(t Time) {
 		if m == nil || m.at > t {
 			break
 		}
-		e.fire(e.q.pop())
+		e.fire(e.q.popTop(m))
 	}
 	if e.now < t {
 		e.now = t
@@ -376,13 +376,13 @@ func (e *Engine) StepUntil(t Time) bool {
 		if m == nil || m.at > t {
 			return false
 		}
-		e.fire(e.q.pop())
+		e.fire(e.q.popTop(m))
 		return true
 	}
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.q.h) }
+func (e *Engine) Pending() int { return e.q.len() }
 
 // NextEventTime reports the timestamp of the earliest event, chained or
 // queued, or Forever when there is none.
