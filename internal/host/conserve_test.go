@@ -128,7 +128,7 @@ func (r *conserveRun) check() {
 		if (cs.offline || r.mach.Core(id).Power() != hw.Online) && (busy || cs.cur != nil) {
 			r.fail("offline core %d (kernel offline=%v, power %v) runs %s", id, cs.offline, r.mach.Core(id).Power(), cs.cur.name)
 		}
-		if !cs.offline && r.mach.Core(id).Power() != hw.Online && len(cs.fifoQ)+len(cs.normQ) > 0 {
+		if !cs.offline && r.mach.Core(id).Power() != hw.Online && cs.fifoQ.n+cs.normQ.n > 0 {
 			r.fail("core %d online in the kernel but %v in hardware, with threads queued", id, r.mach.Core(id).Power())
 		}
 	}

@@ -59,10 +59,8 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 		t.state = Runnable
 		displaced = append(displaced, t)
 	}
-	displaced = append(displaced, cs.fifoQ...)
-	displaced = append(displaced, cs.normQ...)
-	cs.fifoQ = nil
-	cs.normQ = nil
+	displaced = cs.fifoQ.drain(displaced)
+	displaced = cs.normQ.drain(displaced)
 
 	// Re-enqueue displaced tasks elsewhere.
 	for _, t := range displaced {

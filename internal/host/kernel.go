@@ -52,8 +52,8 @@ type coreSched struct {
 	k       *Kernel
 	id      hw.CoreID
 	cur     *Thread
-	fifoQ   []*Thread
-	normQ   []*Thread
+	fifoQ   runQueue
+	normQ   runQueue
 	quantum *sim.Timer
 	// stealing marks an in-progress IRQ steal: the executor belongs to
 	// the IRQ path until it completes. stealFn is the steal's handler
@@ -178,23 +178,13 @@ func (k *Kernel) Kill(t *Thread) {
 	case Runnable:
 		cs := k.cores[t.core]
 		k.settle(cs)
-		cs.fifoQ = removeThread(cs.fifoQ, t)
-		cs.normQ = removeThread(cs.normQ, t)
+		cs.fifoQ.remove(t)
+		cs.normQ.remove(t)
 		t.state = Dead
 	default:
 		t.state = Dead
 	}
 	t.dropWork()
-}
-
-func removeThread(q []*Thread, t *Thread) []*Thread {
-	out := q[:0]
-	for _, x := range q {
-		if x != t {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // pickCore selects a core for a waking unpinned thread: fewest queued
@@ -215,7 +205,7 @@ func (k *Kernel) pickCore(t *Thread) (hw.CoreID, error) {
 		if !ok || cs.offline {
 			continue
 		}
-		load := len(cs.fifoQ) + len(cs.normQ)
+		load := cs.fifoQ.n + cs.normQ.n
 		if cs.cur != nil {
 			load++
 		}
@@ -240,13 +230,13 @@ func (k *Kernel) wake(t *Thread) {
 	cs := k.cores[core]
 	k.settle(cs)
 	if t.class == ClassFIFO {
-		cs.fifoQ = append(cs.fifoQ, t)
+		cs.fifoQ.pushBack(t)
 		// FIFO wake preempts a running normal thread.
 		if cs.cur != nil && cs.cur.class == ClassNormal && !cs.stealing {
 			k.preemptCurrent(cs, true)
 		}
 	} else {
-		cs.normQ = append(cs.normQ, t)
+		cs.normQ.pushBack(t)
 	}
 	k.dispatch(cs)
 }
@@ -277,37 +267,86 @@ func (k *Kernel) preemptCurrent(cs *coreSched, front bool) {
 	}
 	t := k.takeCurrent(cs)
 	t.state = Runnable
+	q := &cs.normQ
 	if t.class == ClassFIFO {
-		if front {
-			cs.fifoQ = pushFront(cs.fifoQ, t)
-		} else {
-			cs.fifoQ = append(cs.fifoQ, t)
-		}
+		q = &cs.fifoQ
+	}
+	if front {
+		q.pushFront(t)
 	} else {
-		if front {
-			cs.normQ = pushFront(cs.normQ, t)
-		} else {
-			cs.normQ = append(cs.normQ, t)
-		}
+		q.pushBack(t)
 	}
 }
 
-// pushFront inserts t at the head of q, shifting in place so a run queue
-// reuses its backing array.
-func pushFront(q []*Thread, t *Thread) []*Thread {
-	q = append(q, nil)
-	copy(q[1:], q)
-	q[0] = t
-	return q
+// runQueue is one scheduling class's run queue on a core: a ring over a
+// reused backing array whose length is a power of two, so that taking
+// the head or putting a thread back at either end costs O(1) whatever
+// the queue's length.
+type runQueue struct {
+	buf  []*Thread
+	head int // buf index of the head
+	n    int // threads queued
 }
 
-// popFront removes and returns the head of q, shifting in place so the
-// run queue's backing array is never walked off and reallocated.
-func popFront(q []*Thread) (*Thread, []*Thread) {
-	t := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = nil
-	return t, q[:len(q)-1]
+// at reports the i-th queued thread from the head.
+func (q *runQueue) at(i int) *Thread { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// grow makes room for one more thread, doubling a full ring.
+func (q *runQueue) grow() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]*Thread, max(4, 2*len(q.buf)))
+	for i := range q.n {
+		buf[i] = q.at(i)
+	}
+	q.buf, q.head = buf, 0
+}
+
+func (q *runQueue) pushBack(t *Thread) {
+	q.grow()
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
+	q.n++
+}
+
+func (q *runQueue) pushFront(t *Thread) {
+	q.grow()
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = t
+	q.n++
+}
+
+// popFront removes and returns the head of a non-empty queue.
+func (q *runQueue) popFront() *Thread {
+	t := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return t
+}
+
+// remove drops t from the queue, keeping the others in order.
+func (q *runQueue) remove(t *Thread) {
+	kept := 0
+	for i := range q.n {
+		if x := q.at(i); x != t {
+			q.buf[(q.head+kept)&(len(q.buf)-1)] = x
+			kept++
+		}
+	}
+	for i := kept; i < q.n; i++ {
+		q.buf[(q.head+i)&(len(q.buf)-1)] = nil
+	}
+	q.n = kept
+}
+
+// drain appends the queued threads, head first, to dst and empties the
+// queue.
+func (q *runQueue) drain(dst []*Thread) []*Thread {
+	for q.n > 0 {
+		dst = append(dst, q.popFront())
+	}
+	return dst
 }
 
 func (k *Kernel) quantumExpired(cs *coreSched) {
@@ -325,10 +364,10 @@ func (k *Kernel) dispatch(cs *coreSched) {
 		return
 	}
 	var t *Thread
-	if len(cs.fifoQ) > 0 {
-		t, cs.fifoQ = popFront(cs.fifoQ)
-	} else if len(cs.normQ) > 0 {
-		t, cs.normQ = popFront(cs.normQ)
+	if cs.fifoQ.n > 0 {
+		t = cs.fifoQ.popFront()
+	} else if cs.normQ.n > 0 {
+		t = cs.normQ.popFront()
 	} else {
 		return
 	}
@@ -413,9 +452,9 @@ func (cs *coreSched) sliceDone() {
 		if t.hasWork() || t.poll != nil {
 			t.state = Runnable
 			if t.class == ClassFIFO {
-				cs.fifoQ = pushFront(cs.fifoQ, t)
+				cs.fifoQ.pushFront(t)
 			} else {
-				cs.normQ = append(cs.normQ, t)
+				cs.normQ.pushBack(t)
 			}
 		} else {
 			t.state = Blocked
@@ -430,7 +469,7 @@ func (k *Kernel) CoreQueueLen(id hw.CoreID) int {
 	if cs == nil {
 		return 0
 	}
-	n := len(cs.fifoQ) + len(cs.normQ)
+	n := cs.fifoQ.n + cs.normQ.n
 	if cs.cur != nil {
 		n++
 	}

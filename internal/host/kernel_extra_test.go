@@ -1,6 +1,8 @@
 package host
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"coregap/internal/hw"
@@ -176,5 +178,48 @@ func TestZeroAllocKernelCycle(t *testing.T) {
 	// outnumber the events the whole kernel queued.
 	if slices := pa.ContextSwitches() + pb.ContextSwitches(); slices <= eng.EventsFired() {
 		t.Fatalf("%d poll slices on core 2 against %d events fired; want the rotation to queue none", slices, eng.EventsFired())
+	}
+}
+
+// TestRunQueueMatchesSlice drives the ring and a plain slice through
+// the same random pushes at either end, pops and removals, across
+// several growths and wraps of the ring.
+func TestRunQueueMatchesSlice(t *testing.T) {
+	src := sim.NewSource(3)
+	threads := make([]*Thread, 40)
+	for i := range threads {
+		threads[i] = &Thread{name: fmt.Sprint(i)}
+	}
+	var q runQueue
+	var ref []*Thread
+	for op := 0; op < 5000; op++ {
+		u := threads[src.Intn(len(threads))]
+		switch k := src.Intn(10); {
+		case k < 3 && len(ref) < 30:
+			q.pushBack(u)
+			ref = append(ref, u)
+		case k < 5 && len(ref) < 30:
+			q.pushFront(u)
+			ref = append([]*Thread{u}, ref...)
+		case k < 9 && len(ref) > 0:
+			if got := q.popFront(); got != ref[0] {
+				t.Fatalf("op %d: popped %s, want %s", op, got.name, ref[0].name)
+			}
+			ref = ref[1:]
+		case k == 9:
+			q.remove(u)
+			ref = slices.DeleteFunc(ref, func(x *Thread) bool { return x == u })
+		}
+		if q.n != len(ref) {
+			t.Fatalf("op %d: %d queued, want %d", op, q.n, len(ref))
+		}
+		for i, x := range ref {
+			if q.at(i) != x {
+				t.Fatalf("op %d: thread %d is %s, want %s", op, i, q.at(i).name, x.name)
+			}
+		}
+	}
+	if got := q.drain(nil); !slices.Equal(got, ref) || q.n != 0 {
+		t.Fatalf("drain gave %d threads, %d left", len(got), q.n)
 	}
 }

@@ -77,7 +77,7 @@ func (k *Kernel) rotate(cs *coreSched, t *Thread) bool {
 	}
 	ready := t.readyAt(now)
 	if ready <= now.Add(p.Slice) ||
-		(len(cs.normQ) > 0 && !k.quiet(cs.normQ[0])) {
+		(cs.normQ.n > 0 && !k.quiet(cs.normQ.at(0))) {
 		return false
 	}
 	r := &cs.rot
@@ -85,7 +85,8 @@ func (k *Kernel) rotate(cs *coreSched, t *Thread) bool {
 	t.rot, t.rotIdx = cs, 0
 	off := p.Slice
 	r.ends = append(r.ends[:0], off)
-	for _, u := range cs.normQ {
+	for i := range cs.normQ.n {
+		u := cs.normQ.at(i)
 		if !k.quiet(u) {
 			break
 		}
@@ -94,7 +95,7 @@ func (k *Kernel) rotate(cs *coreSched, t *Thread) bool {
 		off += u.poll.Slice
 		r.ends = append(r.ends, off)
 	}
-	r.laps = len(r.order) == 1+len(cs.normQ)
+	r.laps = len(r.order) == 1+cs.normQ.n
 	r.lap = off
 	r.n, r.pos, r.start, r.end = 0, 0, now, now.Add(p.Slice)
 	r.stop = noStop
@@ -255,10 +256,13 @@ func (k *Kernel) settle(cs *coreSched) {
 func (k *Kernel) endRotation(cs *coreSched) {
 	r := &cs.rot
 	t := r.order[r.pos]
-	// The queue in turn order after t: the run queue past the pos turns
-	// taken, then the threads that took them.
-	rest := copy(cs.normQ, cs.normQ[r.pos:])
-	copy(cs.normQ[rest:], r.order[:r.pos])
+	// The queue in turn order after t: each of the pos turns taken
+	// dispatched the run queue's head and requeued the thread before it
+	// at the tail.
+	for _, u := range r.order[:r.pos] {
+		cs.normQ.popFront()
+		cs.normQ.pushBack(u)
+	}
 	slice := r.end.Sub(r.start)
 	t.slot = workItem{label: pollLabel, work: slice, fn: t.poll.Action}
 	t.cur, t.rem, t.sliceStart = &t.slot, slice, r.start
