@@ -33,13 +33,6 @@ func (k ArrivalKind) String() string {
 // don't draw far past their horizon.
 const arrivalBatch = 64
 
-// retireThreshold is how many delivered arrivals accumulate at the front
-// of the plan buffer before they are compacted away. The undelivered
-// tail is bounded by one wire delay's worth of offered load plus a
-// batch, so compaction is O(1) amortised per arrival and the buffer
-// footprint is independent of run length.
-const retireThreshold = 4 * arrivalBatch
-
 // OpenLoadGen is the open-loop counterpart of LoadGen: requests arrive
 // on their own clock — an arrival process with a fixed offered rate —
 // whether or not earlier requests have completed. Unlike a closed loop,
@@ -48,20 +41,22 @@ const retireThreshold = 4 * arrivalBatch
 // up in full in the recorded latencies: this is the generator that makes
 // tail-SLO and queueing-collapse behaviour visible.
 //
-// Arrivals round-robin over a pool of connection ids; each connection
-// keeps a FIFO queue of send timestamps. The Redis guest model serves
-// strictly in arrival order, so replies on one connection return in that
-// connection's send order and the FIFO matching is exact.
+// Arrivals round-robin over a pool of connection ids, so connection c's
+// k-th request is arrival c + k·clients. The Redis guest model serves
+// each connection strictly in order, so a reply on a connection answers
+// its oldest unanswered request, and a count of answered requests per
+// connection finds that request's send time in the arrival plan.
+// Replies on different connections need not return in send order.
 //
 // The generator is built for offered rates in the hundreds of krps and
 // connection pools in the millions: arrival times are precomputed in
 // batches into a reusable plan buffer, requests are delivered to the
 // guest by a single self-re-arming engine event (one event per request,
-// not two, and no per-request closure), and per-connection FIFOs are
-// intrusive lists threaded through one shared free-listed record arena.
-// In steady state the send and response paths allocate nothing; memory
-// grows with the in-flight population and the connection count, not
-// with the offered rate or the run length.
+// not two, and no per-request closure), and no per-request record is
+// kept. In steady state the send and response paths allocate nothing;
+// memory grows with the span of arrivals from the oldest unanswered one
+// and with the connections used, not with the offered rate or the run
+// length.
 type OpenLoadGen struct {
 	peer     *Peer
 	reqBytes int
@@ -86,38 +81,30 @@ type OpenLoadGen struct {
 	// Arrival plan: absolute times of upcoming arrivals, generated
 	// batch-at-a-time by the same draws the one-event-per-arrival
 	// implementation made, so the schedule is bit-identical. times is
-	// sorted; head indexes the next undelivered arrival; baseIdx is the
-	// arrival index of times[0] (arrivals retired from the buffer).
-	// Invariant: whenever a delivery event is armed for deadline D,
-	// times[len-1] >= D, so Sent can count arrivals by binary search —
-	// every arrival at or before any observable instant is in the buffer.
+	// sorted and holds every arrival from the oldest unanswered one (the
+	// send times replies look up); baseIdx is the arrival index of
+	// times[0] (arrivals retired from the buffer, all answered); head
+	// indexes the next undelivered arrival; low is the arrival index of
+	// the oldest unanswered one. Invariant: whenever a delivery event is
+	// armed for deadline D, times[len-1] >= D, so Sent can count arrivals
+	// by binary search — every arrival at or before any observable
+	// instant is in the buffer or retired.
 	times   []sim.Time
 	head    int
 	baseIdx uint64
+	low     uint64
 	prev    sim.Time // last generated arrival time, seeds the next batch
 
 	deliverFn func() // method value, created once: the chain callback
 
-	// In-flight request records: one shared arena with an intrusive
-	// free list, plus per-connection intrusive FIFO heads/tails (-1 when
-	// empty). Replaces a [][]sim.Time whose per-connection backing
-	// arrays made memory scale with clients × in-flight.
-	recs     []reqRec
-	freeRec  int32
-	connHead []int32
-	connTail []int32
+	// answered[c] counts connection c's answered requests; it grows as
+	// connections are first used, which round-robin makes in order.
+	answered []uint32
 
 	served  uint64
 	dropped uint64 // replies with no matching in-flight request (modelling bug guard)
 	stopped bool
 	stopAt  sim.Time
-}
-
-// reqRec is one in-flight request: its arrival (send) time and the next
-// record on the same connection's FIFO, or the next free record.
-type reqRec struct {
-	at   sim.Time
-	next int32
 }
 
 // OpenLoadConfig parameterizes NewOpenLoadGen.
@@ -161,13 +148,6 @@ func NewOpenLoadGen(peer *Peer, cfg OpenLoadConfig, mkTag func(int) int, metric 
 		burstDuty:   cfg.BurstDuty,
 		clients:     cfg.Clients,
 		wireDelay:   peer.wireDelay(cfg.ReqBytes),
-		freeRec:     -1,
-		connHead:    make([]int32, cfg.Clients),
-		connTail:    make([]int32, cfg.Clients),
-	}
-	for i := range g.connHead {
-		g.connHead[i] = -1
-		g.connTail[i] = -1
 	}
 	g.deliverFn = g.deliverNext
 	return g
@@ -219,18 +199,20 @@ func (g *OpenLoadGen) extendBatch() {
 }
 
 // arm schedules the delivery event for the next planned arrival,
-// retiring the plan buffer when fully delivered and extending it far
-// enough that the Sent binary search stays complete (see the times
-// invariant on OpenLoadGen).
+// retiring the answered prefix of the plan buffer and extending the
+// buffer far enough that the Sent binary search stays complete (see the
+// times invariant on OpenLoadGen).
 func (g *OpenLoadGen) arm() {
-	if g.head >= retireThreshold || (g.head > 0 && g.head == len(g.times)) {
-		// Retire the delivered prefix, keeping capacity. Delivered
-		// arrivals are at or before every future Sent cutoff, so folding
-		// them into baseIdx keeps the binary search exact.
-		g.baseIdx += uint64(g.head)
-		n := copy(g.times, g.times[g.head:])
+	if done := int(g.low - g.baseIdx); done > 0 && 2*done >= len(g.times) {
+		// Retire the answered prefix, keeping capacity, once it is half
+		// the buffer, so that a deep backlog behind it is not copied
+		// every batch. Answered arrivals were delivered, so they are at
+		// or before every future Sent cutoff, and folding them into
+		// baseIdx keeps the binary search exact.
+		g.baseIdx = g.low
+		n := copy(g.times, g.times[done:])
 		g.times = g.times[:n]
-		g.head = 0
+		g.head -= done
 	}
 	if g.head >= len(g.times) {
 		g.extendBatch()
@@ -256,57 +238,42 @@ func (g *OpenLoadGen) deliverNext() {
 	}
 	client := int(g.baseIdx+uint64(g.head)) % g.clients
 	g.head++
-	g.pushRec(client, at)
+	if client == len(g.answered) {
+		if client == cap(g.answered) {
+			grown := make([]uint32, client, min(g.clients, max(arrivalBatch, 2*client)))
+			copy(grown, g.answered)
+			g.answered = grown
+		}
+		g.answered = g.answered[:client+1]
+	}
 	if f := g.peer.sendToGuest; f != nil {
 		f(0, g.reqBytes, g.mkTag(client))
 	}
 	g.arm()
 }
 
-// pushRec appends an in-flight record to a connection's FIFO.
-func (g *OpenLoadGen) pushRec(client int, at sim.Time) {
-	idx := g.freeRec
-	if idx >= 0 {
-		g.freeRec = g.recs[idx].next
-		g.recs[idx] = reqRec{at: at, next: -1}
-	} else {
-		g.recs = append(g.recs, reqRec{at: at, next: -1})
-		idx = int32(len(g.recs) - 1)
-	}
-	if tail := g.connTail[client]; tail >= 0 {
-		g.recs[tail].next = idx
-	} else {
-		g.connHead[client] = idx
-	}
-	g.connTail[client] = idx
-}
-
-// popRec removes the oldest in-flight record from a connection's FIFO.
-func (g *OpenLoadGen) popRec(client int) (sim.Time, bool) {
-	idx := g.connHead[client]
-	if idx < 0 {
-		return 0, false
-	}
-	r := &g.recs[idx]
-	g.connHead[client] = r.next
-	if r.next < 0 {
-		g.connTail[client] = -1
-	}
-	r.next = g.freeRec
-	g.freeRec = idx
-	return r.at, true
-}
-
-// OnResponse is called when the guest's reply for a connection arrives.
+// OnResponse is called when the guest's reply for a connection arrives:
+// it answers the connection's oldest unanswered request.
 func (g *OpenLoadGen) OnResponse(bytes, tag int) {
 	client := tag & 0xffffff
 	if client >= g.clients {
 		return
 	}
-	sent, ok := g.popRec(client)
-	if !ok {
+	delivered := g.baseIdx + uint64(g.head)
+	if client >= len(g.answered) {
 		g.dropped++
 		return
+	}
+	clients := uint64(g.clients)
+	req := uint64(client) + uint64(g.answered[client])*clients
+	if req >= delivered {
+		g.dropped++
+		return
+	}
+	sent := g.times[req-g.baseIdx]
+	g.answered[client]++
+	for g.low < delivered && uint64(g.answered[g.low%clients]) > g.low/clients {
+		g.low++
 	}
 	now := g.peer.eng.Now()
 	g.peer.met.Lat(g.metric, now, now.Sub(sent))

@@ -75,9 +75,8 @@ func TestOpenLoadSentLazyCount(t *testing.T) {
 }
 
 // TestOpenLoadMillionConnections: a 2^20-connection pool round-robins
-// correctly — the intrusive per-connection FIFOs replace the old
-// [][]sim.Time, whose million slice headers plus per-connection backing
-// arrays made memory scale with the pool size times in-flight depth.
+// correctly, with no per-connection or per-request record beyond a
+// count of each used connection's answered requests.
 func TestOpenLoadMillionConnections(t *testing.T) {
 	eng, lg := echoLoadGen(ArrivalPoisson, 500_000, 1<<20)
 	lg.Start()
@@ -90,10 +89,10 @@ func TestOpenLoadMillionConnections(t *testing.T) {
 	if lg.Served() != lg.Sent() || lg.Dropped() != 0 {
 		t.Fatalf("served=%d sent=%d dropped=%d", lg.Served(), lg.Sent(), lg.Dropped())
 	}
-	// The shared record arena holds only the in-flight peak, not a
-	// per-connection high-water mark.
-	if len(lg.recs) > 1024 {
-		t.Fatalf("record arena grew to %d for a synchronous echo", len(lg.recs))
+	// With every request answered at once, the plan buffer holds about
+	// a wire delay's worth of arrivals and a batch, not the run.
+	if len(lg.times) > 4*arrivalBatch {
+		t.Fatalf("plan buffer holds %d arrivals for a synchronous echo", len(lg.times))
 	}
 }
 
@@ -128,6 +127,39 @@ func TestOpenLoadFIFOMatching(t *testing.T) {
 		if got := h.Percentile(p); got != want {
 			t.Fatalf("p%g latency = %v, want exactly %v (FIFO mismatch)", p, got, want)
 		}
+	}
+}
+
+// TestOpenLoadOvertakingReplies: replies on connection c take c×15 µs,
+// so later requests on low connections overtake earlier ones on high
+// connections, and several requests are in flight per connection. Each
+// reply must still answer its own connection's oldest request: the
+// recorded latencies sum to exactly the wire delay plus each reply's
+// service time.
+func TestOpenLoadOvertakingReplies(t *testing.T) {
+	eng := sim.NewEngine(7)
+	met := trace.NewSet()
+	peer := NewPeer(eng, DefaultCosts(), met)
+	lg := NewOpenLoadGen(peer, OpenLoadConfig{
+		Kind: ArrivalPoisson, Rate: 300_000, Clients: 8, ReqBytes: 512,
+	}, func(c int) int { return c }, "openload.lat", eng.Source("openload"))
+	var want sim.Duration
+	peer.Connect(func(vcpu, bytes, tag int) {
+		service := sim.Duration(tag) * 15 * sim.Microsecond
+		eng.After(service, "echo-delay", func() {
+			want += lg.wireDelay + service
+			lg.OnResponse(bytes, tag)
+		})
+	})
+	lg.Start()
+	eng.RunUntil(sim.Time(10 * sim.Millisecond))
+	lg.Stop()
+	eng.Run()
+	if lg.Served() < 2_500 || lg.Dropped() != 0 || lg.Backlog() != 0 {
+		t.Fatalf("served=%d dropped=%d backlog=%d", lg.Served(), lg.Dropped(), lg.Backlog())
+	}
+	if got := met.Hist("openload.lat").Sum(); got != want {
+		t.Fatalf("latencies sum to %v, want %v (a reply answered another request)", got, want)
 	}
 }
 
