@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"coregap/internal/granule"
@@ -205,7 +206,8 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 		v := newVCPU(vm, i, a.GuestCores[i])
 		v.recPA = recPA
 		v.rec = n.Mon.Rec(recPA)
-		v.mb = rpc.NewMailbox(n.Eng, fmt.Sprintf("%s/vcpu%d", vm.name, i))
+		name := vm.name + "/vcpu" + strconv.Itoa(i)
+		v.mb = rpc.NewMailbox(n.Eng, name)
 		// vCPU threads run FIFO so they preempt VMM threads when woken
 		// (§4.3); the busy-wait ablation uses yield-polling normal
 		// threads as Quarantine does — FIFO pollers would starve the
@@ -214,8 +216,7 @@ func (n *Node) setupGapped(vm *VM, vcpus int) error {
 		if n.Opts.BusyWaitRPC {
 			class = host.ClassNormal
 		}
-		v.thread = n.Kern.NewThread(fmt.Sprintf("%s/vcpu%d", vm.name, i),
-			class, a.HostCore)
+		v.thread = n.Kern.NewThread(name, class, a.HostCore)
 		vm.vcpus = append(vm.vcpus, v)
 	}
 	if err := n.rmi(smc.RMIRealmActivate, uint64(rd)); err != nil {
@@ -257,7 +258,7 @@ func (n *Node) setupShared(vm *VM, vcpus int) {
 	vm.VMM.SetInject(vm.injectFromHost)
 	for i := 0; i < vcpus; i++ {
 		v := newVCPU(vm, i, hw.NoCore)
-		v.thread = n.Kern.NewThread(fmt.Sprintf("%s/vcpu%d", vm.name, i),
+		v.thread = n.Kern.NewThread(vm.name+"/vcpu"+strconv.Itoa(i),
 			host.ClassNormal, hw.NoCore)
 		v.thread.SetDomain(vm.domain, n.P.GuestFootprint)
 		vm.vcpus = append(vm.vcpus, v)
@@ -326,7 +327,7 @@ func (n *Node) wakeupThreadFor(core hw.CoreID) *host.Thread {
 	if w, ok := n.wakeups[core]; ok {
 		return w.t
 	}
-	w := &wakeup{t: n.Kern.NewThread(fmt.Sprintf("wakeup%d", core), host.ClassFIFO, core)}
+	w := &wakeup{t: n.Kern.NewThread("wakeup"+strconv.Itoa(int(core)), host.ClassFIFO, core)}
 	w.scanFn = func() { n.scanMailboxes(core) }
 	n.wakeups[core] = w
 	return w.t

@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"coregap/internal/guest"
@@ -270,6 +272,56 @@ func TestSteadyStateTrialAllocs(t *testing.T) {
 			t.Errorf("%s: a trial twice as long allocates %.0f more times (%.0f vs %.0f); the per-event path must not allocate",
 				c.name, long-short, long, short)
 		}
+	}
+}
+
+// TestTrialAllocsIgnoreGC is the deterministic form of what made
+// TestSteadyStateTrialAllocs flaky: a trial whose path allocates through
+// a cache the garbage collector empties (fmt's printer pool, any
+// sync.Pool) makes more allocations right after a collection than
+// without one, so an exact allocation count depended on where the
+// collector happened to run. A warm pooled trial must make the same
+// number of allocations with and without two forced collections before
+// it. The runtime makes a few allocations of its own now and then (a
+// collection cycle's sudog, say), which only ever add to a trial's
+// count, so each side is the least of three trials, alternated; a cache
+// the collector empties costs every trial after a collection, so the
+// least of three still shows it. The automatic collector is paused
+// meanwhile, so that only the forced collections run.
+func TestTrialAllocsIgnoreGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	spec := ScenarioSpec{ID: "coremark", Config: ConfigGapped, Cores: 4, Seed: 5,
+		Workload: Workload{Kind: WLCoreMark, VCPUs: 2, Work: 200 * sim.Millisecond}}
+	ctx := NewTrialContext()
+	run := func() {
+		if _, err := ExecuteIn(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func(gc bool) uint64 {
+		if gc {
+			runtime.GC()
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	run()
+	run()
+	plain, collected := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		plain = min(plain, mallocs(false))
+		collected = min(collected, mallocs(true))
+	}
+	if plain != collected {
+		t.Errorf("coremark/gapped: a trial after two forced GCs makes %d allocations, without them %d", collected, plain)
 	}
 }
 

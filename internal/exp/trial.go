@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"coregap/internal/attack"
@@ -225,7 +226,7 @@ func (t *Trial) runCoreMark(ctx *TrialContext, spec ScenarioSpec) error {
 	marks := make([]*guest.CoreMark, vms)
 	for i := 0; i < vms; i++ {
 		marks[i] = guest.NewCoreMark(w.VCPUs, w.Work)
-		if _, err := n.NewVM(fmt.Sprintf("vm%d", i), w.VCPUs, marks[i]); err != nil {
+		if _, err := n.NewVM("vm"+strconv.Itoa(i), w.VCPUs, marks[i]); err != nil {
 			return fmt.Errorf("coremark setup: %w", err)
 		}
 	}

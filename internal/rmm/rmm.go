@@ -21,6 +21,7 @@ package rmm
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"coregap/internal/attest"
 	"coregap/internal/granule"
@@ -258,8 +259,16 @@ func (m *Monitor) realmCreate(params RealmParams, rd, rttRoot granule.PA) (*Real
 		rd:     rd,
 		rtt:    rtt,
 	}
-	r.ledger.ExtendRIM([]byte(fmt.Sprintf("realm vcpus:%d ipa:%d flags:%d",
-		params.VCPUs, params.IPASize, params.Flags)))
+	// The RIM strings are built with strconv into a stack buffer: fmt's
+	// printer cache is emptied by every GC, which would make a trial's
+	// allocation count depend on when the collector last ran.
+	var buf [64]byte
+	b := append(buf[:0], "realm vcpus:"...)
+	b = strconv.AppendInt(b, int64(params.VCPUs), 10)
+	b = append(b, " ipa:"...)
+	b = strconv.AppendUint(b, uint64(params.IPASize), 10)
+	b = append(b, " flags:"...)
+	r.ledger.ExtendRIM(strconv.AppendUint(b, params.Flags, 10))
 	m.nextRealm++
 	m.nextGuest++
 	m.realms[rd] = r
@@ -282,7 +291,8 @@ func (m *Monitor) recCreate(r *Realm, pa granule.PA) (*REC, error) {
 	rec := &REC{realm: r, idx: len(r.recs), pa: pa, bound: hw.NoCore}
 	r.recs = append(r.recs, rec)
 	m.recs[pa] = rec
-	r.ledger.ExtendRIM([]byte(fmt.Sprintf("rec:%d", rec.idx)))
+	var buf [32]byte
+	r.ledger.ExtendRIM(strconv.AppendInt(append(buf[:0], "rec:"...), int64(rec.idx), 10))
 	m.count(cRECCreate)
 	return rec, nil
 }
@@ -298,7 +308,8 @@ func (m *Monitor) dataCreate(r *Realm, ipa granule.IPA, pa granule.PA) error {
 		return err
 	}
 	if r.state == RealmNew {
-		r.ledger.ExtendRIM([]byte(fmt.Sprintf("data ipa:%#x", uint64(ipa))))
+		var buf [32]byte
+		r.ledger.ExtendRIM(strconv.AppendUint(append(buf[:0], "data ipa:0x"...), uint64(ipa), 16))
 	}
 	return nil
 }
