@@ -84,8 +84,6 @@ type queue struct {
 	near, far heapQueue
 }
 
-func (q *queue) len() int { return len(q.near.h) + len(q.far.h) }
-
 // peek reports the earliest queued node, or nil when empty.
 func (q *queue) peek() *event {
 	n, f := q.near.peek(), q.far.peek()

@@ -382,7 +382,7 @@ func (e *Engine) StepUntil(t Time) bool {
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.q.len() }
+func (e *Engine) Pending() int { return len(e.q.near.h) + len(e.q.far.h) }
 
 // NextEventTime reports the timestamp of the earliest event, chained or
 // queued, or Forever when there is none.
