@@ -139,12 +139,9 @@ func (q *heapQueue) push(ev *event) {
 	q.siftUp(len(q.h) - 1)
 }
 
-// pop removes and returns the minimum node, or nil when empty.
+// pop removes and returns the minimum node of a non-empty heap.
 func (q *heapQueue) pop() *event {
 	h := q.h
-	if len(h) == 0 {
-		return nil
-	}
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
