@@ -190,6 +190,14 @@ func (g *OpenLoadGen) gapFrom(prev sim.Time) sim.Duration {
 
 // extendBatch appends arrivalBatch precomputed arrival times to the plan.
 func (g *OpenLoadGen) extendBatch() {
+	if n := len(g.times); n+arrivalBatch > cap(g.times) {
+		// Double: behind a deep backlog the buffer grows with it, and
+		// append's slower growth of large slices would copy it more
+		// often.
+		grown := make([]sim.Time, n, max(2*cap(g.times), 4*arrivalBatch))
+		copy(grown, g.times)
+		g.times = grown
+	}
 	prev := g.prev
 	for i := 0; i < arrivalBatch; i++ {
 		prev = prev.Add(g.gapFrom(prev))
