@@ -11,9 +11,9 @@ import (
 // minimum — through the same random scripts and compares what fires,
 // when, and what Pending and NextEventTime report after every step.
 
-// schedDriver is what a script can do: the engine's API, over either
+// schedAPI is what a script can do: the engine's API, over either
 // the engine or the reference. Events are named by script-wide ids.
-type schedDriver interface {
+type schedAPI interface {
 	now() Time
 	at(t Time, id int)
 	reserve() uint64
@@ -46,8 +46,8 @@ var queueDeltas = []Duration{
 	2 * farHorizon, Millisecond, 19 * Millisecond, 189 * Millisecond,
 }
 
-// engDriver runs a script on the engine.
-type engDriver struct {
+// engRunner runs a script on the engine.
+type engRunner struct {
 	e      *Engine
 	evs    map[int]Event
 	fired  []string
@@ -58,25 +58,25 @@ type engDriver struct {
 	chainFn   func(until Time, untilSeq uint64) Time
 }
 
-func newEngDriver() *engDriver {
-	d := &engDriver{e: NewEngine(1), evs: map[int]Event{}, nextID: 1 << 20}
+func newEngDriver() *engRunner {
+	d := &engRunner{e: NewEngine(1), evs: map[int]Event{}, nextID: 1 << 20}
 	d.chainFn = d.advance
 	return d
 }
 
-func (d *engDriver) now() Time { return d.e.Now() }
+func (d *engRunner) now() Time { return d.e.Now() }
 
-func (d *engDriver) at(t Time, id int) {
+func (d *engRunner) at(t Time, id int) {
 	d.evs[id] = d.e.At(t, "q", func() { d.fire(id) })
 }
 
-func (d *engDriver) reserve() uint64 { return d.e.Reserve() }
+func (d *engRunner) reserve() uint64 { return d.e.Reserve() }
 
-func (d *engDriver) atReserved(t Time, seq uint64, id int) {
+func (d *engRunner) atReserved(t Time, seq uint64, id int) {
 	d.evs[id] = d.e.AtReserved(t, seq, "r", func() { d.fire(id) })
 }
 
-func (d *engDriver) fire(id int) {
+func (d *engRunner) fire(id int) {
 	d.fired = append(d.fired, fmt.Sprintf("%d@%d", id, d.e.Now()))
 	if dt, ok := followUp(id); ok {
 		d.nextID++
@@ -84,21 +84,21 @@ func (d *engDriver) fire(id int) {
 	}
 }
 
-func (d *engDriver) cancel(id int) { d.e.Cancel(d.evs[id]) }
+func (d *engRunner) cancel(id int) { d.e.Cancel(d.evs[id]) }
 
-func (d *engDriver) step() bool            { return d.e.Step() }
-func (d *engDriver) runUntil(t Time)       { d.e.RunUntil(t) }
-func (d *engDriver) stepUntil(t Time) bool { return d.e.StepUntil(t) }
-func (d *engDriver) pending() int          { return d.e.Pending() }
-func (d *engDriver) nextTime() Time        { return d.e.NextEventTime() }
-func (d *engDriver) log() []string         { return d.fired }
+func (d *engRunner) step() bool            { return d.e.Step() }
+func (d *engRunner) runUntil(t Time)       { d.e.RunUntil(t) }
+func (d *engRunner) stepUntil(t Time) bool { return d.e.StepUntil(t) }
+func (d *engRunner) pending() int          { return d.e.Pending() }
+func (d *engRunner) nextTime() Time        { return d.e.NextEventTime() }
+func (d *engRunner) log() []string         { return d.fired }
 
-func (d *engDriver) reset() {
+func (d *engRunner) reset() {
 	d.e.Reset(1)
 	d.chainLeft = 0
 }
 
-func (d *engDriver) startChain(n int) {
+func (d *engRunner) startChain(n int) {
 	if d.chainLeft > 0 {
 		return
 	}
@@ -109,7 +109,7 @@ func (d *engDriver) startChain(n int) {
 
 // advance fires the chain's events that precede (until, untilSeq),
 // first the one due, reserving each next one's number as it goes.
-func (d *engDriver) advance(until Time, untilSeq uint64) Time {
+func (d *engRunner) advance(until Time, untilSeq uint64) Time {
 	for {
 		last := d.chainAt
 		d.fired = append(d.fired, fmt.Sprintf("chain@%d", last))
@@ -126,9 +126,9 @@ func (d *engDriver) advance(until Time, untilSeq uint64) Time {
 	}
 }
 
-// refDriver runs a script on the reference: one pending set, in which
+// refRunner runs a script on the reference: one pending set, in which
 // chain events are queued events too.
-type refDriver struct {
+type refRunner struct {
 	clock  Time
 	seq    uint64
 	evs    []refEvent
@@ -146,23 +146,23 @@ type refEvent struct {
 
 const chainID = -1
 
-func (r *refDriver) now() Time { return r.clock }
+func (r *refRunner) now() Time { return r.clock }
 
-func (r *refDriver) at(t Time, id int) {
+func (r *refRunner) at(t Time, id int) {
 	r.seq++
 	r.evs = append(r.evs, refEvent{t, r.seq, id})
 }
 
-func (r *refDriver) reserve() uint64 {
+func (r *refRunner) reserve() uint64 {
 	r.seq++
 	return r.seq
 }
 
-func (r *refDriver) atReserved(t Time, seq uint64, id int) {
+func (r *refRunner) atReserved(t Time, seq uint64, id int) {
 	r.evs = append(r.evs, refEvent{t, seq, id})
 }
 
-func (r *refDriver) cancel(id int) {
+func (r *refRunner) cancel(id int) {
 	for i, ev := range r.evs {
 		if ev.id == id {
 			r.evs = append(r.evs[:i], r.evs[i+1:]...)
@@ -172,7 +172,7 @@ func (r *refDriver) cancel(id int) {
 }
 
 // min reports the index of the earliest pending event, -1 when none.
-func (r *refDriver) min() int {
+func (r *refRunner) min() int {
 	best := -1
 	for i, ev := range r.evs {
 		if b := best; b < 0 || ev.at < r.evs[b].at || (ev.at == r.evs[b].at && ev.seq < r.evs[b].seq) {
@@ -184,7 +184,7 @@ func (r *refDriver) min() int {
 
 // fireMin fires the earliest event, reporting whether it was queued
 // (not a chain event).
-func (r *refDriver) fireMin() bool {
+func (r *refRunner) fireMin() bool {
 	i := r.min()
 	ev := r.evs[i]
 	r.evs = append(r.evs[:i], r.evs[i+1:]...)
@@ -205,7 +205,7 @@ func (r *refDriver) fireMin() bool {
 }
 
 // step fires the next queued event, or every chain event before it.
-func (r *refDriver) step() bool {
+func (r *refRunner) step() bool {
 	if len(r.evs) == 0 {
 		return false
 	}
@@ -217,7 +217,7 @@ func (r *refDriver) step() bool {
 	return true
 }
 
-func (r *refDriver) runUntil(t Time) {
+func (r *refRunner) runUntil(t Time) {
 	for i := r.min(); i >= 0 && r.evs[i].at <= t; i = r.min() {
 		r.fireMin()
 	}
@@ -226,7 +226,7 @@ func (r *refDriver) runUntil(t Time) {
 
 // stepUntil steps one event at a time while the clock is before t,
 // stopping after the first queued event.
-func (r *refDriver) stepUntil(t Time) bool {
+func (r *refRunner) stepUntil(t Time) bool {
 	for {
 		i := r.min()
 		if i < 0 || r.evs[i].at > t {
@@ -241,11 +241,11 @@ func (r *refDriver) stepUntil(t Time) bool {
 	}
 }
 
-func (r *refDriver) reset() {
+func (r *refRunner) reset() {
 	r.clock, r.seq, r.evs, r.chainLeft = 0, 0, r.evs[:0], 0
 }
 
-func (r *refDriver) pending() int {
+func (r *refRunner) pending() int {
 	n := len(r.evs)
 	if r.chainLeft > 0 {
 		n--
@@ -253,14 +253,14 @@ func (r *refDriver) pending() int {
 	return n
 }
 
-func (r *refDriver) nextTime() Time {
+func (r *refRunner) nextTime() Time {
 	if i := r.min(); i >= 0 {
 		return r.evs[i].at
 	}
 	return Forever
 }
 
-func (r *refDriver) startChain(n int) {
+func (r *refRunner) startChain(n int) {
 	if r.chainLeft > 0 {
 		return
 	}
@@ -268,7 +268,7 @@ func (r *refDriver) startChain(n int) {
 	r.at(r.clock.Add(chainPeriod), chainID)
 }
 
-func (r *refDriver) log() []string { return r.fired }
+func (r *refRunner) log() []string { return r.fired }
 
 // reservation is a number Reserve took, to be queued at at.
 type reservation struct {
@@ -279,7 +279,7 @@ type reservation struct {
 // runScript drives d through a script drawn from seed, checking Pending
 // and NextEventTime after every operation against want (nil: record
 // them). It reports those observations.
-func runScript(t *testing.T, d schedDriver, seed uint64, want []string) []string {
+func runScript(t *testing.T, d schedAPI, seed uint64, want []string) []string {
 	t.Helper()
 	src := NewSource(seed)
 	var obs []string
@@ -340,7 +340,7 @@ func runScript(t *testing.T, d schedDriver, seed uint64, want []string) []string
 
 func TestTwoTierMatchesOneHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
-		ref := &refDriver{nextID: 1 << 20}
+		ref := &refRunner{nextID: 1 << 20}
 		want := runScript(t, ref, seed, nil)
 		eng := newEngDriver()
 		runScript(t, eng, seed, want)
