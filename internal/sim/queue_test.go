@@ -58,7 +58,7 @@ type engRunner struct {
 	chainFn   func(until Time, untilSeq uint64) Time
 }
 
-func newEngDriver() *engRunner {
+func newEngRunner() *engRunner {
 	d := &engRunner{e: NewEngine(1), evs: map[int]Event{}, nextID: 1 << 20}
 	d.chainFn = d.advance
 	return d
@@ -342,7 +342,7 @@ func TestTwoTierMatchesOneHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		ref := &refRunner{nextID: 1 << 20}
 		want := runScript(t, ref, seed, nil)
-		eng := newEngDriver()
+		eng := newEngRunner()
 		runScript(t, eng, seed, want)
 		got, exp := eng.log(), ref.log()
 		for i := range min(len(got), len(exp)) {
